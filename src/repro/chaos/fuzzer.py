@@ -38,17 +38,11 @@ from repro.chaos.oracles import (
     ORACLE_BUFFER_MONOTONE,
     ORACLE_INVARIANT,
     ORACLE_REPLAY,
-    ORACLE_SHARD,
     ORACLE_ZERO_FAULT,
     OracleFailure,
     check_buffer_monotone,
 )
-from repro.chaos.runner import (
-    case_digest,
-    check_backend_identity,
-    check_shard_identity,
-    run_case,
-)
+from repro.chaos.runner import case_digest, check_backend_identity, run_case
 from repro.chaos.shrink import shrink, shrink_stats
 from repro.chaos.space import ChaosSpace, describe_case, sample_case
 from repro.experiments.scenario import ScenarioConfig
@@ -211,17 +205,6 @@ def _metamorphic_checks(
 
     # Backend identity: the same case on the *other* engine backend must
     # replay the exact bytes (reuses `first` from the replay check above).
-    # Shard identity: a sharded case (worker kill included) must replay
-    # the single-process bytes; vacuous for unsharded cases.  Checked
-    # before the backend flip so a shard-engine divergence is diagnosed as
-    # such — the vector sibling is always single-process, so a lossy
-    # barrier merge would otherwise fire the backend oracle first.
-    if config.shard_count > 1:
-        report.count(ORACLE_SHARD)
-        shard_failure = check_shard_identity(config, own_digest=first)
-        if shard_failure is not None:
-            return shard_failure
-
     report.count(ORACLE_BACKEND)
     backend_failure = check_backend_identity(config, own_digest=first)
     if backend_failure is not None:
@@ -276,8 +259,6 @@ def _handle_failure(
     # that actually fired.
     if failure.oracle == ORACLE_BACKEND:
         check = check_backend_identity
-    elif failure.oracle == ORACLE_SHARD:
-        check = check_shard_identity
     replayed = check(config)
     replay_confirmed = failure.matches(replayed)
     if not replay_confirmed:

@@ -21,7 +21,6 @@ from repro.chaos.oracles import (
     ORACLE_BACKEND,
     ORACLE_CRASH,
     ORACLE_INVARIANT,
-    ORACLE_SHARD,
     OracleFailure,
     check_summary,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "CaseResult",
     "case_digest",
     "check_backend_identity",
-    "check_shard_identity",
     "run_case",
     "stable_summary",
 ]
@@ -155,15 +153,10 @@ def check_backend_identity(
     """
     if config.engine_backend in ANALYTIC_BACKENDS:
         return None
-    # Sharding only exists on the scalar backend, so the vector sibling is
-    # always single-process (sharded scalar == single scalar is the
-    # shard-identity oracle's half of the triangle).
     flipped = config.replace(
         engine_backend="vector"
         if config.engine_backend == "scalar"
-        else "scalar",
-        shard_count=1,
-        shard_kill=None,
+        else "scalar"
     )
     own = own_digest if own_digest is not None else case_digest(config)
     other = case_digest(flipped)
@@ -175,39 +168,5 @@ def check_backend_identity(
                 f"{flipped.engine_backend} digest {other} for the same case"
             ),
             invariant="backend-identity",
-        )
-    return None
-
-
-def check_shard_identity(
-    config: ScenarioConfig, own_digest: str | None = None
-) -> OracleFailure | None:
-    """The shard-identity oracle: a sharded case must replay the bytes of
-    the same case run single-process (docs/sharding.md).
-
-    The single-process sibling also drops any scripted ``shard_kill`` —
-    the whole point of the barrier-crash fault is that crash *recovery*
-    leaves the sharded run indistinguishable from an uninterrupted one.
-    Unsharded cases pass vacuously; their determinism is the replay
-    oracle's job.
-    """
-    if config.shard_count <= 1:
-        return None
-    flipped = config.replace(shard_count=1, shard_kill=None)
-    own = own_digest if own_digest is not None else case_digest(config)
-    other = case_digest(flipped)
-    if own != other:
-        return OracleFailure(
-            oracle=ORACLE_SHARD,
-            detail=(
-                f"{config.shard_count}-shard digest {own} != "
-                f"single-process digest {other} for the same case"
-                + (
-                    f" (scripted worker kill {config.shard_kill})"
-                    if config.shard_kill is not None
-                    else ""
-                )
-            ),
-            invariant="shard-identity",
         )
     return None

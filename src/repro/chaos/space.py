@@ -88,14 +88,6 @@ class ChaosSpace:
     #: crash / summary oracles at the mean-field backend too (cases are
     #: coerced into its validity envelope — see :func:`sample_case`).
     engine_backends: tuple[str, ...] = ("scalar", "vector")
-    #: Shard counts scalar-backend cases may run under (docs/sharding.md).
-    #: Weighted toward 1 because every sharded case pays real worker-spawn
-    #: wall-clock; drawn after every other axis (see :func:`sample_case`)
-    #: so adding the axis preserved the (seed, index) -> case mapping.
-    shard_counts: tuple[int, ...] = (1, 1, 1, 2)
-    #: Probability that a sharded case scripts a barrier-crash fault — a
-    #: worker self-SIGKILL mid-run whose recovery must stay byte-identical.
-    shard_kill_prob: float = 0.5
 
 
 def _sample_plan(
@@ -194,23 +186,6 @@ def sample_case(
         faults = None
         sanitize = False
         trace_capacity = 0
-    # Shard axis, drawn after everything else (same discipline as the
-    # backend axis above): pre-existing cases are untouched because only
-    # scalar-backend draws consume these variates, and they consume them
-    # last.  A sharded case may additionally script a mid-barrier worker
-    # kill — the recovery path must keep the run byte-identical, which the
-    # shard-identity oracle checks against the single-process sibling.
-    shard_count = 1
-    shard_kill = None
-    if backend == "scalar":
-        shard_count = space.shard_counts[
-            int(rng.integers(len(space.shard_counts)))
-        ]
-        if shard_count > 1 and rng.random() < space.shard_kill_prob:
-            shard_kill = (
-                int(rng.integers(shard_count)),
-                int(rng.integers(1, max(2, int(sim_time) // 2))),
-            )
 
     # Area scales with fleet size at roughly the Table-II node density, so
     # contact rates stay in a regime where messages actually move.
@@ -231,8 +206,6 @@ def sample_case(
         router=router,
         policy=policy,
         engine_backend=backend,
-        shard_count=shard_count,
-        shard_kill=shard_kill,
         seed=seed,
         faults=faults,
         sanitize=sanitize,
@@ -249,14 +222,9 @@ def describe_case(config: ScenarioConfig) -> str:
             f"churn={plan.churn_fraction:.2f} flap={plan.link_flap_rate:.3f} "
             f"xfer={plan.transfer_fault_prob:.2f} events={len(plan.events)}"
         )
-    engine = config.engine_backend
-    if config.shard_count > 1:
-        engine += f"/{config.shard_count}shards"
-        if config.shard_kill is not None:
-            engine += f" kill@{config.shard_kill[0]}:{config.shard_kill[1]}"
     return (
         f"{config.name}: {config.router}/{config.policy}/{config.mobility} "
-        f"({engine}) n={config.n_nodes} t={config.sim_time:.0f}s "
+        f"({config.engine_backend}) n={config.n_nodes} t={config.sim_time:.0f}s "
         f"buf={config.buffer_bytes}B ttl={config.ttl:.0f}s "
         f"L={config.initial_copies} [{fault_bits}]"
     )

@@ -118,7 +118,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = base.replace(
         policy=args.policy, seed=args.seed, initial_copies=args.copies,
         sanitize=args.sanitize, engine_backend=args.engine,
-        shard_count=args.shards,
     )
     if args.reduced:
         config = F.reduced(config)
@@ -295,11 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "output; see docs/vectorization.md), the "
                             "mean-field analytic surrogate, or the hybrid "
                             "analytic+sampled mode (docs/analytic.md)")
-    p_run.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="shard the contact plane across N supervised "
-                            "worker processes (scalar engine only; "
-                            "byte-identical output for any N; see "
-                            "docs/sharding.md)")
     p_run.add_argument("--reduced", action="store_true",
                        help="run the reduced-scale variant")
     p_run.add_argument("--churn", type=float, default=0.0, metavar="FRACTION",

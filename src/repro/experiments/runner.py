@@ -210,15 +210,6 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
             sim, mobility, nodes, transfer_manager, detector,
             tick=config.tick, contact_backend=config.contact_backend,
         )
-    elif config.shard_count > 1:
-        # Imported here: repro.shard's workers import this module back.
-        from repro.shard.coordinator import ShardCoordinator
-        from repro.shard.world import ShardedWorld
-
-        world = ShardedWorld(
-            sim, mobility, nodes, transfer_manager, detector,
-            tick=config.tick, coordinator=ShardCoordinator(config),
-        )
     else:
         world = World(
             sim, mobility, nodes, transfer_manager, detector, tick=config.tick
@@ -327,10 +318,6 @@ def run_built(built: BuiltSimulation, wall_start: float | None = None) -> RunSum
         if built.trace is not None:
             exc.trace_tail = built.trace.tail(DEFAULT_CONTEXT_EVENTS)
         raise
-    finally:
-        # Tear down external resources (shard workers) even when the run
-        # dies; the in-process worlds implement this as a no-op.
-        built.world.close()
     if built.timeseries is not None:
         built.timeseries.finalize(built.sim.now)
     metrics = built.metrics

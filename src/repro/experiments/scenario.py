@@ -88,15 +88,6 @@ class ScenarioConfig:
     #: broadcast), "grid" (uniform cell binning for large sparse fleets),
     #: or None to pick by fleet size.  Ignored by the scalar backend.
     contact_backend: str | None = None
-    #: Spatial shard workers for the contact plane (docs/sharding.md).
-    #: 1 runs in-process; N > 1 stripes the map across N supervised
-    #: spawn-context workers with byte-identical results for any count.
-    shard_count: int = 1
-    #: Chaos fault: ``(shard_id, barrier_seq)`` makes that shard's worker
-    #: SIGKILL itself when it receives barrier *barrier_seq* — on its first
-    #: incarnation only, so supervised recovery completes the run.  None
-    #: (the default) injects nothing.
-    shard_kill: tuple[int, int] | None = None
     seed: int = 1
     #: Optional fault model (node churn, link flaps, transfer truncation);
     #: None or a disabled plan runs the paper's ideal conditions.
@@ -167,32 +158,6 @@ class ScenarioConfig:
                 f"unknown contact_backend {self.contact_backend!r}; "
                 f"expected one of {CONTACT_BACKENDS} or None"
             )
-        if self.shard_count < 1:
-            raise ConfigurationError(
-                f"shard_count must be >= 1: {self.shard_count}"
-            )
-        if self.shard_count > 1 and self.engine_backend != "scalar":
-            raise ConfigurationError(
-                f"sharding drives the scalar engine only; engine_backend "
-                f"{self.engine_backend!r} cannot use shard_count="
-                f"{self.shard_count}"
-            )
-        if self.shard_kill is not None:
-            if self.shard_count < 2:
-                raise ConfigurationError(
-                    "shard_kill requires shard_count >= 2 (no workers to "
-                    "kill in-process)"
-                )
-            shard_id, barrier_seq = self.shard_kill
-            if not 0 <= shard_id < self.shard_count:
-                raise ConfigurationError(
-                    f"shard_kill shard id {shard_id} out of range for "
-                    f"shard_count={self.shard_count}"
-                )
-            if barrier_seq < 1:
-                raise ConfigurationError(
-                    f"shard_kill barrier_seq must be >= 1: {barrier_seq}"
-                )
         if self.engine_backend in ANALYTIC_BACKENDS:
             self._validate_analytic()
 

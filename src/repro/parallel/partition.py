@@ -52,19 +52,3 @@ def chunk_exact(items: Sequence[T], parts: int) -> list[list[T]]:
         out.append(list(items[start : start + size]))
         start += size
     return out
-
-
-def stripe_spans(total: float, parts: int) -> list[tuple[float, float]]:
-    """Partition ``[0, total)`` into *parts* contiguous half-open spans.
-
-    The spatial analogue of :func:`chunk_exact`: exactly *parts* spans are
-    returned, span ``i`` is ``[i * total / parts, (i + 1) * total / parts)``
-    and the last span's upper bound is exactly *total* (no float-accumulation
-    gap).  Used by the shard engine to assign map stripes to workers.
-    """
-    if parts < 1:
-        raise ConfigurationError(f"parts must be >= 1: {parts}")
-    if total <= 0:
-        raise ConfigurationError(f"total must be positive: {total}")
-    edges = [total * i / parts for i in range(parts)] + [float(total)]
-    return [(edges[i], edges[i + 1]) for i in range(parts)]

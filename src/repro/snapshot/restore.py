@@ -68,7 +68,7 @@ FORK_OVERRIDES = frozenset({"sim_time", "name", "snapshot_every", "snapshot_to"}
 
 _TUPLE_FIELDS = (
     "area", "speed_range", "pause_range", "interval_range",
-    "message_size_range", "shard_kill",
+    "message_size_range",
 )
 
 

@@ -76,7 +76,7 @@ class World:
         with timed(profiler, "movement"):
             self.positions = self.mobility.advance(now)
         with timed(profiler, "contacts"):
-            new_links = self._detect_pairs()
+            new_links = self.detector.pairs(self.positions, self._max_range)
             if not self._uniform_range:
                 new_links = self._filter_heterogeneous(new_links)
             if self.down_nodes:
@@ -97,19 +97,6 @@ class World:
             self.links = new_links
 
         self._routing_phase(now)
-
-    def _detect_pairs(self) -> set[tuple[int, int]]:
-        """Candidate contact pairs at the current positions.
-
-        Subclass hook: the sharded world answers this from its worker
-        fleet instead of the in-process detector.  Range-heterogeneity
-        and down-node filtering stay in :meth:`update` so every backend
-        applies them identically to the merged set.
-        """
-        return self.detector.pairs(self.positions, self._max_range)
-
-    def close(self) -> None:
-        """Release external resources held by the world (subclass hook)."""
 
     def _routing_phase(self, now: float) -> None:
         """TTL purge, observer notification, idle-sender retries.

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 from repro.chaos.space import ChaosSpace, describe_case, sample_case
 from repro.rng import derive_seed
 from tests.chaos.conftest import fast_space
@@ -66,52 +70,27 @@ class TestRanges:
             assert sample_case(space, 2, i).engine_backend == "vector"
 
     def test_backend_draw_does_not_shift_earlier_axes(self):
-        """The backend is drawn after the classic axes: every other field
-        of a case must be unchanged from what a backend-free space would
-        have produced, so pre-existing corpus entries keep their
-        (seed, index) identity.  The shard axes are drawn later still and
-        only on the scalar path, so they are normalized out here."""
+        """The backend is drawn last: every other field of a case must be
+        unchanged from what a backend-free space would have produced, so
+        pre-existing corpus entries keep their (seed, index) identity."""
         wide = ChaosSpace()
         narrow = ChaosSpace(engine_backends=("scalar",))
         for i in range(15):
-            a = sample_case(wide, 4, i).replace(
-                engine_backend="scalar", shard_count=1, shard_kill=None
-            )
-            b = sample_case(narrow, 4, i).replace(
-                shard_count=1, shard_kill=None
-            )
-            assert a == b
-
-    def test_shard_draw_does_not_shift_earlier_axes(self):
-        """The shard axes are drawn last (after the backend): disabling
-        them must reproduce every earlier field exactly — the same
-        corpus-stability discipline the backend axis followed."""
-        wide = ChaosSpace()
-        narrow = ChaosSpace(shard_counts=(1,))
-        for i in range(20):
-            a = sample_case(wide, 4, i).replace(
-                shard_count=1, shard_kill=None
-            )
+            a = sample_case(wide, 4, i).replace(engine_backend="scalar")
             b = sample_case(narrow, 4, i)
             assert a == b
 
-    def test_shard_axis_samples_valid_cases(self):
-        """Sharded draws construct (validation allows them) and the kill
-        barrier is always in range; vector cases never shard."""
-        space = ChaosSpace(shard_counts=(2, 4), shard_kill_prob=1.0)
-        saw_sharded = False
-        for i in range(20):
-            case = sample_case(space, 11, i)
-            if case.engine_backend != "scalar":
-                assert case.shard_count == 1 and case.shard_kill is None
-                continue
-            saw_sharded = True
-            assert case.shard_count in (2, 4)
-            assert case.shard_kill is not None
-            shard_id, barrier_seq = case.shard_kill
-            assert 0 <= shard_id < case.shard_count
-            assert barrier_seq >= 1
-        assert saw_sharded
+    def test_seed_index_to_case_mapping_is_pinned(self):
+        """Pins the (seed, index) -> case mapping the committed corpus
+        relies on: adding, dropping or reordering a draw changes it."""
+        records = [
+            dataclasses.asdict(sample_case(ChaosSpace(), 7, i))
+            for i in range(200)
+        ]
+        payload = json.dumps(records, sort_keys=True, default=str)
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == (
+            "203c29ea47c5a99caff9bcfbe607bf47fdd409e449093ff7efc235e0856298d9"
+        )
 
 
 class TestFaultPlans:

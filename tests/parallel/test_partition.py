@@ -5,12 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.parallel.partition import (
-    chunk_evenly,
-    chunk_exact,
-    chunk_sized,
-    stripe_spans,
-)
+from repro.parallel.partition import chunk_evenly, chunk_exact, chunk_sized
 
 
 class TestChunkSized:
@@ -83,28 +78,3 @@ class TestChunkExact:
         assert chunk_evenly(items, parts) == [
             c for c in chunk_exact(items, parts) if c
         ]
-
-
-class TestStripeSpans:
-    def test_exact_count_and_tiling(self):
-        spans = stripe_spans(1000.0, 4)
-        assert spans == [
-            (0.0, 250.0), (250.0, 500.0), (500.0, 750.0), (750.0, 1000.0)
-        ]
-
-    def test_last_upper_bound_is_exactly_total(self):
-        # total/parts does not divide evenly in binary; the final edge must
-        # still be the exact total, not an accumulated approximation.
-        spans = stripe_spans(10.0, 3)
-        assert len(spans) == 3
-        assert spans[0][0] == 0.0 and spans[-1][1] == 10.0
-        for (_, hi), (lo, _) in zip(spans, spans[1:]):
-            assert hi == lo
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            stripe_spans(1000.0, 0)
-        with pytest.raises(ConfigurationError):
-            stripe_spans(0.0, 2)
-        with pytest.raises(ConfigurationError):
-            stripe_spans(-5.0, 2)

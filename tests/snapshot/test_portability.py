@@ -1,114 +1,71 @@
-"""Cross-process snapshot portability (the shard recovery contract).
+"""Cross-process snapshot portability.
 
-A shard worker's rolling snapshot is written in a spawn-context child and
-restored by whichever process picks up the shard next — possibly the
-coordinator itself.  That only works if a replica captured in one process
-restores *byte-identically* in another: same position bytes, same RNG
-stream state, and the same future trajectory.  This suite captures in a
-real spawn child and restores in the parent, comparing against a replica
-that never crossed a process boundary.
+A rolling snapshot is written by whichever process ran the simulation — a
+spawn-context pool worker in a resilient sweep, a service worker — and is
+restored by whichever process resumes it next.  That only works if a
+snapshot saved in one process restores *byte-identically* in another.
+This suite runs a scenario partway in a real spawn child, saves it there,
+restores it in the parent and runs it to the horizon, comparing the
+observable bytes (event trace plus stable summary) against a run that
+never crossed a process boundary.
 """
 
 from __future__ import annotations
 
-from repro.experiments.runner import _make_mobility
+import json
+
+from repro.chaos.runner import stable_summary
+from repro.experiments.runner import build_scenario, run_built
 from repro.parallel.pool import _pool_context
-from repro.rng import RngFactory
-from repro.shard.protocol import (
-    capture_replica,
-    positions_digest,
-    restore_replica,
-)
-from repro.snapshot.capture import encode_config
-from repro.snapshot.codec import canonical_json, make_snapshot, read_snapshot
+from repro.snapshot import read_snapshot, restore, save, write_snapshot
 from tests.obs.conftest import tiny_config
 
-#: The exact barrier times a coordinator would record (drifting floats from
-#: repeated ``now + tick``, not clean multiples).
-BARRIER_TIMES = [1.0, 2.0, 3.0000000000000004, 4.000000000000001, 5.0]
+#: Where the child stops: a drifting float from repeated ``now + 0.1``,
+#: not a clean tick multiple, so the restored clock must carry it exactly.
+STOP_TIME = 149.99999999999577
 
 
-def _advanced_replica(config):
-    """A (mobility, stream) pair advanced through the barrier schedule."""
-    mobility = _make_mobility(config)
-    stream = RngFactory(config.seed).stream("mobility")
-    mobility.initialize(stream)
-    for now in BARRIER_TIMES:
-        mobility.advance(now)
-    return mobility, stream
+def _config(**overrides):
+    return tiny_config(trace_capacity=500_000, **overrides)
 
 
-def _capture_in_child(conn, config_overrides, snapshot_path):
-    """Spawn target: advance a replica, snapshot it, report the digest."""
-    from repro.snapshot.codec import write_snapshot
-
-    config = tiny_config(**config_overrides)
-    mobility, stream = _advanced_replica(config)
-    snapshot = make_snapshot(
-        encode_config(config),
-        {"replica": capture_replica(mobility, stream)},
+def _observed_bytes(built) -> str:
+    """The run's observable bytes: full trace JSONL + stable summary."""
+    summary = run_built(built)
+    assert built.trace is not None
+    return built.trace.to_jsonl() + json.dumps(
+        stable_summary(summary), sort_keys=True
     )
-    write_snapshot(snapshot, snapshot_path)
-    conn.send(positions_digest(mobility.positions))
-    conn.close()
+
+
+def _save_in_child(snapshot_path):
+    """Spawn target: run to :data:`STOP_TIME` and write a snapshot."""
+    built = build_scenario(_config())
+    built.sim.run(until=STOP_TIME)
+    write_snapshot(save(built), snapshot_path)
 
 
 class TestCrossProcessPortability:
     def test_child_snapshot_restores_byte_identically_in_parent(
         self, tmp_path
     ):
-        snapshot_path = str(tmp_path / "shard-0.snap.gz")
-        ctx = _pool_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_capture_in_child,
-            args=(child_conn, {}, snapshot_path),
+        snapshot_path = str(tmp_path / "run.snap.gz")
+        proc = _pool_context().Process(
+            target=_save_in_child, args=(snapshot_path,)
         )
         proc.start()
-        child_conn.close()
-        child_digest = parent_conn.recv()
         proc.join(timeout=60.0)
         assert proc.exitcode == 0
 
-        config = tiny_config()
-        # Restore the child's snapshot onto a fresh parent-built replica.
         snapshot = read_snapshot(snapshot_path)
-        assert canonical_json(snapshot.config) == canonical_json(
-            encode_config(config)
-        )
-        restored = _make_mobility(config)
-        restored_stream = RngFactory(config.seed).stream("mobility")
-        restored.initialize(restored_stream)
-        restore_replica(restored, restored_stream, snapshot.state["replica"])
+        assert snapshot.state["t"] == STOP_TIME
+        resumed = _observed_bytes(restore(snapshot))
+        uninterrupted = _observed_bytes(build_scenario(_config()))
+        assert resumed == uninterrupted
 
-        # Byte-level state agreement with the child at capture time...
-        assert positions_digest(restored.positions) == child_digest
-
-        # ...and with a replica that never left this process.
-        local, local_stream = _advanced_replica(config)
-        assert positions_digest(local.positions) == child_digest
-        assert (
-            restored_stream.bit_generator.state
-            == local_stream.bit_generator.state
-        )
-
-        # The future also matches: both replicas advance through the same
-        # drifting barrier floats and stay in lockstep (waypoint redraws
-        # consume the restored stream, not a fresh one).
-        future = [t + BARRIER_TIMES[-1] for t in BARRIER_TIMES]
-        for now in future:
-            restored.advance(now)
-            local.advance(now)
-            assert positions_digest(restored.positions) == positions_digest(
-                local.positions
-            )
-
-    def test_restoring_under_a_different_seed_diverges(self, tmp_path):
-        """Anti-vacuity: the digest comparison can actually fail."""
-        config_a = tiny_config(seed=1)
-        config_b = tiny_config(seed=2)
-        mob_a, _ = _advanced_replica(config_a)
-        mob_b, _ = _advanced_replica(config_b)
-        assert positions_digest(mob_a.positions) != positions_digest(
-            mob_b.positions
-        )
+    def test_restoring_under_a_different_seed_diverges(self):
+        """Anti-vacuity: the byte comparison can actually fail."""
+        built = build_scenario(_config(seed=2))
+        built.sim.run(until=STOP_TIME)
+        resumed = _observed_bytes(restore(save(built)))
+        assert resumed != _observed_bytes(build_scenario(_config(seed=1)))

@@ -133,10 +133,20 @@ class TestConfigRoundtrip:
         assert decode_config(encode_config(config)) == config
 
     def test_unknown_field_raises(self):
-        payload = encode_config(observed())
-        payload["frobnicate"] = True
-        with pytest.raises(SnapshotError, match="frobnicate"):
-            decode_config(payload)
+        # A stale config naming fields this build lacks must fail loudly,
+        # never silently run without them.
+        for extra, names in [
+            ({"frobnicate": True}, ["frobnicate"]),
+            (
+                {"shard_count": 2, "shard_kill": [0, 60]},
+                ["shard_count", "shard_kill"],
+            ),
+        ]:
+            payload = {**encode_config(observed()), **extra}
+            with pytest.raises(SnapshotError) as excinfo:
+                decode_config(payload)
+            for name in names:
+                assert name in str(excinfo.value)
 
 
 # -- per-router state -------------------------------------------------------

@@ -478,8 +478,8 @@ Sets iterate in hash order, which varies with PYTHONHASHSEED and between
 processes; `os.listdir`/`glob` iterate in filesystem order.  If that order
 reaches simulator state — buffer contents, link transitions, RNG draws,
 emitted events, dict insertion order — two runs of the same seed diverge.
-This is exactly the bug class a sharded world's barrier-merge is exposed
-to: each shard returns a set, and the merge loop's order becomes state.
+The contact detector is the typical source: it returns a set of pairs,
+so the world sorts the link deltas before it fires any link event.
 
 The taint model: iterating a set-typed expression (inferred from literals,
 annotations, `set()` constructors, set operators, class attribute types and
