@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-deep sanitize-smoke obs-smoke chaos-smoke analytic-smoke service-smoke determinism snapshot-roundtrip bench figures-full fig3 fig4 examples clean
+.PHONY: install test lint lint-deep sanitize-smoke obs-smoke chaos-smoke analytic-smoke service-smoke determinism snapshot-roundtrip bench bench-check figures-full fig3 fig4 examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -79,6 +79,15 @@ snapshot-roundtrip:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Benchmark check (perfbench/README.md): every workload for about a second,
+# each run's output checked against the committed digests.  Fails unless the
+# last line reports "correct": true and "failed": 0.
+bench-check:
+	mkdir -p .bench_build
+	$(PYTHON) perfbench/run.py --workload all --seconds 1 --trace 0 > .bench_build/bench-check.out; \
+		status=$$?; cat .bench_build/bench-check.out; test $$status -eq 0
+	tail -n 1 .bench_build/bench-check.out | $(PYTHON) -c 'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else "bench-check: wrong or failed runs")'
 
 # The paper's exact grids (Tables II/III). Hours of CPU; tune --workers.
 # Each sweep checkpoints to *.ckpt.jsonl, so a killed run resumes from its

@@ -70,8 +70,7 @@ def test_routing_prepass_speedup(benchmark, record_figure):
     per-message scalar evaluation over a sweep-sized population."""
     import numpy as np
 
-    from repro.core.priority import priority_closed_form
-    from repro.vector.kernels import sdsrp_priority_batch
+    from repro.core.priority import priority_closed_form, sdsrp_priority
 
     rng = np.random.default_rng(2)
     size = 5000
@@ -90,7 +89,7 @@ def test_routing_prepass_speedup(benchmark, record_figure):
         ]
 
     def batched():
-        return sdsrp_priority_batch(
+        return sdsrp_priority(
             copies, remaining, m_seen, n_holders, lam, n_nodes
         )
 

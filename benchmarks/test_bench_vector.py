@@ -1,12 +1,11 @@
-"""Vector engine benchmarks: kernel speedups, throughput, regression gate.
+"""Vector engine benchmarks: kernel speedup, throughput, regression gate.
 
 Three kinds of numbers, recorded into ``bench_results.json`` (see
 docs/vectorization.md for what each one honestly measures):
 
-* **kernel speedups** — the NumPy contact and priority kernels against the
-  pure-Python per-pair/per-message reference loops that double as the
-  oracles in ``tests/vector/test_kernels.py``.  This is where
-  vectorization pays by an order of magnitude.
+* **kernel speedup** — the batched SDSRP priority against per-message
+  scalar calls, the same comparison ``tests/core/test_priority.py`` pins
+  bit for bit.  This is where batching pays by an order of magnitude.
 * **end-to-end throughput** — ``ticks_per_sec`` for the same scenario on
   both engine backends.  Whole runs are routing/transfer bound (Amdahl),
   so the honest end-to-end ratio is modest; it is recorded, not inflated.
@@ -28,8 +27,7 @@ from benchmarks.conftest import best_of, run_once
 from repro.experiments import random_waypoint_scenario, scale_scenario
 from repro.experiments.figures import REDUCED_INTERVAL_FACTOR
 from repro.experiments.runner import build_scenario
-from repro.vector.kernels import contact_keys_matrix, sdsrp_priority_batch
-from repro.core.priority import priority_closed_form
+from repro.core.priority import priority_closed_form, sdsrp_priority
 
 BASELINE_PATH = Path(__file__).parent / "results" / "vector_baseline.json"
 
@@ -38,44 +36,6 @@ BASELINE_PATH = Path(__file__).parent / "results" / "vector_baseline.json"
 ALLOWED_REGRESSION = 0.8
 
 _measured: dict[str, float] = {}
-
-
-def reference_contact_loop(positions: np.ndarray, radius: float) -> list[int]:
-    """The pure-Python O(n^2) oracle from tests/vector/test_kernels.py."""
-    n = positions.shape[0]
-    keys = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = positions[i] - positions[j]
-            if float(diff @ diff) <= radius * radius:
-                keys.append(i * n + j)
-    return keys
-
-
-@pytest.mark.benchmark(group="vector-kernels")
-def test_contact_kernel_speedup(benchmark, record_figure):
-    """Dense contact kernel vs the per-pair Python loop at n=500."""
-    rng = np.random.default_rng(0)
-    positions = rng.uniform(0.0, 5000.0, size=(500, 2))
-    radius = 100.0
-    want = reference_contact_loop(positions, radius)
-    got = run_once(benchmark, lambda: contact_keys_matrix(positions, radius))
-    assert got.tolist() == want, "kernel and reference disagree"
-
-    python_s = best_of(lambda: reference_contact_loop(positions, radius))
-    numpy_s = best_of(lambda: contact_keys_matrix(positions, radius))
-    speedup = python_s / numpy_s
-    _measured["contact_kernel_speedup"] = speedup
-    record_figure("vector_contact_kernel", {
-        "n": 500,
-        "python_reference_s": python_s,
-        "vector_kernel_s": numpy_s,
-        "speedup": speedup,
-    })
-    print(f"\ncontact kernel: {speedup:.1f}x over the Python loop")
-    assert speedup >= 5.0, (
-        f"contact kernel only {speedup:.1f}x over the per-pair loop"
-    )
 
 
 @pytest.mark.benchmark(group="vector-kernels")
@@ -98,7 +58,7 @@ def test_priority_kernel_speedup(benchmark, record_figure):
         ]
 
     def batched():
-        return sdsrp_priority_batch(
+        return sdsrp_priority(
             copies, remaining, m_seen, n_holders, lam, n_nodes
         )
 

@@ -3,7 +3,7 @@
 The discrete simulator answers the paper's questions — delivery ratio,
 delay, buffer occupancy versus copy budget L and buffer size — by walking
 every contact of every node.  That caps usable fleet sizes around the
-thousands even on the vector engine.  This package answers the *same
+thousands.  This package answers the *same
 queries from closed-form / ODE mean-field models* in milliseconds at any
 fleet size, and doubles as an independent oracle the simulator is
 cross-validated against (``tests/analytic/test_cross_validation.py``).

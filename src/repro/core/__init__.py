@@ -34,6 +34,7 @@ from repro.core.priority import (
     priority_closed_form,
     priority_from_probabilities,
     priority_taylor,
+    sdsrp_priority,
 )
 from repro.core.sdsrp import SdsrpPolicy, SdsrpShared
 from repro.core.spray_tree import estimate_infected
@@ -60,4 +61,5 @@ __all__ = [
     "priority_closed_form",
     "priority_from_probabilities",
     "priority_taylor",
+    "sdsrp_priority",
 ]

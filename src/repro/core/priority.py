@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.params import FORM_CLOSED
 from repro.errors import ConfigurationError
 
 #: The P(R_i) value that maximizes priority (paper Fig. 4): messages whose
@@ -159,3 +160,22 @@ def priority_taylor(p_t, p_r, n_holders, terms: int = 8):
         power = power * p_r
         acc = acc + power / k
     return (1.0 - p_t) * (1.0 - p_r) * acc / n_holders
+
+
+def sdsrp_priority(copies, remaining_ttl, m_seen, n_holders, lam: float,
+                   n_nodes: int, form: str = FORM_CLOSED, taylor_terms: int = 8):
+    r"""The SDSRP priority :math:`U_i` in the configured form.
+
+    Eq. 10 (:func:`priority_closed_form`) for ``form == "closed"``, else
+    the Eq. 13 truncation (:func:`priority_taylor`) with *taylor_terms*
+    terms.  Takes scalars or equal-shape arrays: every step is an
+    elementwise ufunc, so element k of an array call equals the scalar
+    call on element k to the last bit.
+    """
+    if form == FORM_CLOSED:
+        return priority_closed_form(
+            copies, remaining_ttl, m_seen, n_holders, lam, n_nodes
+        )
+    pt = p_delivered(m_seen, n_nodes)
+    pr = p_remaining(copies, remaining_ttl, n_holders, lam, n_nodes)
+    return priority_taylor(pt, pr, n_holders, terms=taylor_terms)

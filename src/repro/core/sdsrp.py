@@ -35,12 +35,7 @@ from repro.core.intermeeting import (
 )
 from repro.core.oracle import GlobalInfectionOracle
 from repro.core.params import SdsrpParams
-from repro.core.priority import (
-    p_delivered,
-    p_remaining,
-    priority_closed_form,
-    priority_taylor,
-)
+from repro.core.priority import sdsrp_priority
 from repro.core.spray_tree import estimate_infected
 from repro.errors import ConfigurationError
 from repro.net.message import Message
@@ -97,8 +92,8 @@ class SdsrpPolicy(BufferPolicy):
     compare_newcomer = True  # Algorithm 1: the newcomer competes
     # The priority is a pure function of message/estimator state, so batch
     # evaluation (vector engine backend) is exact; priorities() pushes the
-    # whole buffer through the same repro.core.priority ufuncs the scalar
-    # path uses, which makes the two bit-identical per element.
+    # whole buffer through the same sdsrp_priority ufuncs the scalar path
+    # uses, which makes the two bit-identical per element.
     batchable = True
 
     def __init__(
@@ -175,12 +170,10 @@ class SdsrpPolicy(BufferPolicy):
         lam = self._lambda()
         c = self._priority_copies(message)
         r = message.remaining_ttl(now)
-        if self.params.priority_form == P.FORM_CLOSED:
-            value = priority_closed_form(c, r, m, n, lam, self._n_nodes)
-        else:
-            pt = p_delivered(m, self._n_nodes)
-            pr = p_remaining(c, r, n, lam, self._n_nodes)
-            value = priority_taylor(pt, pr, n, terms=self.params.taylor_terms)
+        value = sdsrp_priority(
+            c, r, m, n, lam, self._n_nodes, form=self.params.priority_form,
+            taylor_terms=self.params.taylor_terms,
+        )
         return float(value)
 
     def priorities(self, messages: list[Message], now: float) -> list[float]:
@@ -189,8 +182,8 @@ class SdsrpPolicy(BufferPolicy):
         ``m_i``/``n_i`` estimation stays per message (spray-time lineages
         have ragged lengths); the float-heavy Eq. 10/13 evaluation is
         batched.  Element k equals ``priority(messages[k], now)`` to the
-        last bit because both paths run the identical
-        :mod:`repro.core.priority` ufunc pipeline.
+        last bit because both paths call the same
+        :func:`~repro.core.priority.sdsrp_priority`.
         """
         if not messages:
             return []
@@ -203,16 +196,11 @@ class SdsrpPolicy(BufferPolicy):
             n_list.append(n)
         copies = np.array([self._priority_copies(m) for m in messages])
         r = np.array([m.remaining_ttl(now) for m in messages])
-        m_arr = np.array(m_list)
-        n_arr = np.array(n_list)
-        if self.params.priority_form == P.FORM_CLOSED:
-            values = priority_closed_form(
-                copies, r, m_arr, n_arr, lam, self._n_nodes
-            )
-        else:
-            pt = p_delivered(m_arr, self._n_nodes)
-            pr = p_remaining(copies, r, n_arr, lam, self._n_nodes)
-            values = priority_taylor(pt, pr, n_arr, terms=self.params.taylor_terms)
+        values = sdsrp_priority(
+            copies, r, np.array(m_list), np.array(n_list), lam, self._n_nodes,
+            form=self.params.priority_form,
+            taylor_terms=self.params.taylor_terms,
+        )
         return [float(v) for v in values]
 
     def send_priority(self, message: Message, now: float) -> float:

@@ -289,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--engine",
                        choices=("scalar", "vector", "analytic", "hybrid"),
                        default="scalar",
-                       help="engine backend: per-node scalar loop, the "
-                            "struct-of-arrays vector core (byte-identical "
-                            "output; see docs/vectorization.md), the "
+                       help="engine backend: per-message scalar ranking, "
+                            "batched buffer ranking (byte-identical output; "
+                            "see docs/vectorization.md), the "
                             "mean-field analytic surrogate, or the hybrid "
                             "analytic+sampled mode (docs/analytic.md)")
     p_run.add_argument("--reduced", action="store_true",

@@ -48,8 +48,6 @@ from repro.routing.prophet import ProphetRouter
 from repro.routing.spray_and_focus import SprayAndFocusRouter
 from repro.routing.spray_and_wait import SprayAndWaitRouter
 from repro.traces.format import read_movement_trace
-from repro.vector.world import VectorWorld
-from repro.world.contacts import make_detector
 from repro.world.node import Node
 from repro.world.radio import Radio
 from repro.world.world import World
@@ -203,19 +201,11 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
         for i in range(config.n_nodes)
     ]
     transfer_manager = TransferManager(sim)
-    detector = make_detector(config.n_nodes, config.detector)
-    world: World
-    if config.engine_backend == "vector":
-        world = VectorWorld(
-            sim, mobility, nodes, transfer_manager, detector,
-            tick=config.tick, contact_backend=config.contact_backend,
-        )
-    else:
-        world = World(
-            sim, mobility, nodes, transfer_manager, detector, tick=config.tick
-        )
+    world = World(sim, mobility, nodes, transfer_manager, tick=config.tick)
 
     policies, shared = _make_policies(config, sim)
+    # The vector backend is the scalar world plus the batched ranking
+    # pre-pass; both produce the same bytes (tests/vector).
     batch_eval = config.engine_backend == "vector"
     for node, policy in zip(nodes, policies):
         router = _make_router(config, node, policy)

@@ -21,11 +21,11 @@ MOBILITY_KINDS = (
     "rwp", "taxi", "random-walk", "random-direction", "stationary", "trace",
 )
 #: Engine backends (see docs/vectorization.md and docs/analytic.md):
-#: "scalar" is the per-node reference implementation, "vector" the
-#: struct-of-arrays fast path proven byte-identical by
-#: tests/vector/test_equivalence.py, "analytic" the mean-field surrogate
-#: (repro.analytic; no simulation at all), and "hybrid" the analytic field
-#: plus sampled discrete per-message outcomes.
+#: "scalar" ranks buffers one message at a time, "vector" adds the batched
+#: ranking pre-pass proven byte-identical by tests/vector/test_equivalence.py,
+#: "analytic" is the mean-field surrogate (repro.analytic; no simulation at
+#: all), and "hybrid" the analytic field plus sampled discrete per-message
+#: outcomes.
 ENGINE_BACKENDS = ("scalar", "vector", "analytic", "hybrid")
 #: The two backends served by the mean-field models.
 ANALYTIC_BACKENDS = ("analytic", "hybrid")
@@ -37,8 +37,6 @@ ANALYTIC_ROUTERS = ("snw", "snw-source", "epidemic", "direct")
 #: Stationary fleets never meet and traces are arbitrary, so neither fits
 #: a homogeneous-rate mean field.
 ANALYTIC_MOBILITIES = ("rwp", "random-walk", "random-direction", "taxi")
-#: Contact kernels the vector backend may use; None picks by fleet size.
-CONTACT_BACKENDS = ("matrix", "grid")
 #: Router kinds understood by the runner.
 ROUTER_KINDS = (
     "snw", "snw-source", "epidemic", "direct", "first-contact", "snf",
@@ -80,14 +78,9 @@ class ScenarioConfig:
     deliverable_first: bool = False
     # -- engine --
     tick: float = 1.0
-    detector: str | None = None
-    #: "scalar" (reference) or "vector" (struct-of-arrays fast path; same
+    #: "scalar" (reference) or "vector" (batched buffer ranking; same
     #: events, byte-identical traces — see docs/vectorization.md).
     engine_backend: str = "scalar"
-    #: Contact kernel for the vector backend: "matrix" (upper-triangle
-    #: broadcast), "grid" (uniform cell binning for large sparse fleets),
-    #: or None to pick by fleet size.  Ignored by the scalar backend.
-    contact_backend: str | None = None
     seed: int = 1
     #: Optional fault model (node churn, link flaps, transfer truncation);
     #: None or a disabled plan runs the paper's ideal conditions.
@@ -149,14 +142,6 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"unknown engine_backend {self.engine_backend!r}; "
                 f"expected {ENGINE_BACKENDS}"
-            )
-        if (
-            self.contact_backend is not None
-            and self.contact_backend not in CONTACT_BACKENDS
-        ):
-            raise ConfigurationError(
-                f"unknown contact_backend {self.contact_backend!r}; "
-                f"expected one of {CONTACT_BACKENDS} or None"
             )
         if self.engine_backend in ANALYTIC_BACKENDS:
             self._validate_analytic()

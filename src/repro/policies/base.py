@@ -92,7 +92,7 @@ class BufferPolicy(ABC):
 
         The default loops over :meth:`send_priority`; :attr:`batchable`
         policies override with an array kernel returning the exact same
-        floats (pinned by ``tests/vector/test_kernels.py``).
+        floats (pinned by ``tests/core/test_sdsrp_policy.py``).
         """
         return [self.send_priority(m, now) for m in messages]
 

@@ -1,32 +1,22 @@
 """World model: nodes, radios, connectivity and the time-stepped update.
 
 The :class:`repro.world.world.World` advances the mobility substrate at a
-fixed tick, detects link changes with a pluggable
-:class:`~repro.world.contacts.ContactDetector`, purges expired messages, and
+fixed tick, finds the link set with
+:func:`~repro.world.contacts.contact_pairs`, purges expired messages, and
 publishes ``link.up`` / ``link.down`` / ``world.updated`` events that drive
 the routing layer.
 """
 
-from repro.world.contacts import (
-    BruteForceDetector,
-    ContactDetector,
-    GridDetector,
-    KDTreeDetector,
-    make_detector,
-)
+from repro.world.contacts import contact_pairs
 from repro.world.node import Node
 from repro.world.radio import Radio
 from repro.world.trace_world import TraceWorld
 from repro.world.world import World
 
 __all__ = [
-    "BruteForceDetector",
-    "ContactDetector",
-    "GridDetector",
-    "KDTreeDetector",
     "Node",
     "Radio",
     "TraceWorld",
     "World",
-    "make_detector",
+    "contact_pairs",
 ]

@@ -1,17 +1,24 @@
-"""Contact (link) detection strategies.
+"""Contact (link) detection: the world's one contact function.
 
-Given an ``(N, 2)`` position array and a detection radius, a detector returns
-the set of node index pairs ``(i, j), i < j`` within the radius.  Three
-interchangeable implementations are provided; ``make_detector`` picks a
-sensible default by fleet size.  The brute-force detector is fully
-NumPy-vectorized and is the fastest for the paper's fleet sizes (N <= ~500);
-the grid and KD-tree detectors scale to large fleets (micro-benchmarked in
-``benchmarks/test_bench_contacts.py``).
+:func:`contact_pairs` maps an ``(N, 2)`` position array and the nodes' radio
+ranges to the set of index pairs ``(i, j), i < j`` in contact.  It finds
+candidate pairs first, then applies one exact filter to them:
+
+* fleets smaller than :data:`TREE_MIN_NODES` take every pair of the cached
+  upper triangle as a candidate (one NumPy pass, no tree to build);
+* larger fleets take the pairs a ``cKDTree`` finds within the largest range,
+  widened by a relative ``1e-9`` so no pair at the boundary is lost to the
+  tree's own rounding.
+
+The filter keeps a pair when ``d2 <= min(range_i, range_j) ** 2`` with
+``diff = positions[i] - positions[j]`` for ``i < j``.  Both branches run the
+same float sequence on the same pair, so ties at exactly the radius decide
+the same way whichever branch a fleet size picks.  The crossover between
+the branches is measured in ``benchmarks/test_bench_contacts.py``.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from functools import lru_cache
 
 import numpy as np
@@ -21,134 +28,55 @@ from repro.errors import ConfigurationError
 
 PairSet = set[tuple[int, int]]
 
+#: Fleet size from which the cKDTree candidate pass beats the upper
+#: triangle (see ``benchmarks/test_bench_contacts.py``).
+TREE_MIN_NODES = 36
 
-# Local twin of repro.vector.kernels.triu_pairs: importing it here would
-# cycle (repro.vector -> vector.world -> world.contacts), so the cache is
-# duplicated rather than shared.
+#: Relative widening of the tree query radius; the exact filter decides.
+_TREE_SLACK = 1.0 + 1e-9
+
+
 @lru_cache(maxsize=8)
 def _triu_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     iu, ju = np.triu_indices(n, k=1)
     return iu.astype(np.int64), ju.astype(np.int64)
 
 
-class ContactDetector(ABC):
-    """Strategy interface for range queries over node positions."""
+def contact_pairs(positions: np.ndarray, ranges: float | np.ndarray) -> PairSet:
+    """All pairs ``(i, j), i < j`` within the smaller of their two ranges.
 
-    @abstractmethod
-    def pairs(self, positions: np.ndarray, radius: float) -> PairSet:
-        """Return all pairs ``(i, j), i < j`` with distance <= *radius*."""
-
-    @staticmethod
-    def _check(positions: np.ndarray, radius: float) -> None:
-        if radius <= 0:
-            raise ConfigurationError(f"radius must be positive: {radius}")
-        if positions.ndim != 2 or positions.shape[1] != 2:
-            raise ConfigurationError(
-                f"positions must have shape (N, 2), got {positions.shape}"
-            )
-
-
-class BruteForceDetector(ContactDetector):
-    """O(N^2) vectorized pairwise distances — fastest for small fleets.
-
-    Works on the upper triangle only: each of the N(N-1)/2 pairs is
-    computed once, with the same ``positions[i] - positions[j]`` (i < j)
-    float sequence as before the dedupe, so detections — including exact
-    radius-boundary ties — are unchanged while the full N x N broadcast
-    (twice the work plus an N^2 masking pass) is gone.
+    *ranges* is one radio range per node, or a single range shared by all.
     """
-
-    def pairs(self, positions: np.ndarray, radius: float) -> PairSet:
-        self._check(positions, radius)
-        n = positions.shape[0]
-        if n < 2:
-            return set()
-        iu, ju = _triu_pairs(n)
-        diff = positions[iu] - positions[ju]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        close = d2 <= radius * radius
-        return {
-            (int(i), int(j)) for i, j in zip(iu[close], ju[close])
-        }
-
-
-class GridDetector(ContactDetector):
-    """Uniform spatial hashing with cell size = radius.
-
-    Each node is binned into a cell; only the 3x3 cell neighborhood is
-    checked, making detection ~O(N) for fleets spread over an area much
-    larger than the radius (the paper's scenarios qualify).
-    """
-
-    #: Forward half of the 8-neighborhood; scanning only these (plus the
-    #: cell itself) visits every adjacent cell pair exactly once.
-    _FORWARD = ((1, 0), (1, 1), (0, 1), (-1, 1))
-
-    def pairs(self, positions: np.ndarray, radius: float) -> PairSet:
-        self._check(positions, radius)
-        n = positions.shape[0]
-        if n < 2:
-            return set()
-        cells = np.floor(positions / radius).astype(np.int64)
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for idx in range(n):
-            buckets.setdefault((int(cells[idx, 0]), int(cells[idx, 1])), []).append(idx)
-
-        cand_a: list[int] = []
-        cand_b: list[int] = []
-        for (cx, cy), members in buckets.items():
-            for a_pos, a in enumerate(members):
-                for b in members[a_pos + 1 :]:
-                    cand_a.append(a)
-                    cand_b.append(b)
-            for dx, dy in self._FORWARD:
-                other = buckets.get((cx + dx, cy + dy))
-                if not other:
-                    continue
-                for a in members:
-                    for b in other:
-                        cand_a.append(a)
-                        cand_b.append(b)
-        if not cand_a:
-            return set()
-        ia = np.asarray(cand_a, dtype=np.int64)
-        ib = np.asarray(cand_b, dtype=np.int64)
-        diff = positions[ia] - positions[ib]
-        close = np.einsum("ij,ij->i", diff, diff) <= radius * radius
-        return {
-            (int(i), int(j)) if i < j else (int(j), int(i))
-            for i, j in zip(ia[close], ib[close])
-        }
-
-
-class KDTreeDetector(ContactDetector):
-    """scipy ``cKDTree.query_pairs`` — best asymptotics for huge fleets."""
-
-    def pairs(self, positions: np.ndarray, radius: float) -> PairSet:
-        self._check(positions, radius)
-        if positions.shape[0] < 2:
-            return set()
-        tree = cKDTree(positions)
-        return {
-            (int(i), int(j)) for i, j in tree.query_pairs(radius, output_type="ndarray")
-        }
-
-
-def make_detector(n_nodes: int, kind: str | None = None) -> ContactDetector:
-    """Pick a detector: explicit *kind* or a size-based default.
-
-    ``kind`` may be ``"brute"``, ``"grid"`` or ``"kdtree"``.
-    """
-    if kind is None:
-        kind = "brute" if n_nodes <= 512 else "kdtree"
-    table = {
-        "brute": BruteForceDetector,
-        "grid": GridDetector,
-        "kdtree": KDTreeDetector,
-    }
-    try:
-        return table[kind]()
-    except KeyError:
+    if positions.ndim != 2 or positions.shape[1] != 2:
         raise ConfigurationError(
-            f"unknown detector kind {kind!r}; expected one of {sorted(table)}"
-        ) from None
+            f"positions must have shape (N, 2), got {positions.shape}"
+        )
+    n = positions.shape[0]
+    per_node = np.ndim(ranges) > 0
+    if per_node:
+        ranges = np.asarray(ranges, dtype=float)
+        if ranges.shape != (n,):
+            raise ConfigurationError(
+                f"need one range per node ({n}), got shape {ranges.shape}"
+            )
+        if not np.all(ranges > 0):
+            raise ConfigurationError("ranges must be positive")
+    elif not ranges > 0:
+        raise ConfigurationError(f"range must be positive: {ranges}")
+    if n < 2:
+        return set()
+    max_range = float(ranges.max()) if per_node else float(ranges)
+    if n < TREE_MIN_NODES:
+        lo, hi = _triu_pairs(n)
+    else:
+        tree = cKDTree(positions)
+        cand = tree.query_pairs(max_range * _TREE_SLACK, output_type="ndarray")
+        lo, hi = cand[:, 0], cand[:, 1]
+    diff = positions[lo] - positions[hi]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    if per_node:
+        limit = np.minimum(ranges[lo], ranges[hi])
+        close = d2 <= limit * limit
+    else:
+        close = d2 <= max_range * max_range
+    return set(zip(lo[close].tolist(), hi[close].tolist()))

@@ -2,7 +2,7 @@
 
 Given a recorded :class:`~repro.traces.contact_trace.ContactTrace`, this
 world schedules the exact same link transitions as events — no positions, no
-detector.  Uses:
+contact detection.  Uses:
 
 * **regression**: a run replayed from its own recorded trace produces
   byte-identical message metrics (tested in

@@ -2,9 +2,9 @@
 
 Each tick (default 1 s, matching the granularity ONE uses for the paper's
 scenarios) the world advances the mobility model, recomputes the link set
-with the contact detector, fires ``link.down`` (aborting in-flight
-transfers) and ``link.up`` events, purges expired messages, and gives idle
-routers a chance to start transfers.
+with :func:`~repro.world.contacts.contact_pairs`, fires ``link.down``
+(aborting in-flight transfers) and ``link.up`` events, purges expired
+messages, and gives idle routers a chance to start transfers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError
 from repro.mobility.base import MobilityModel
 from repro.net.transfer import TransferManager
 from repro.obs.profiler import timed
-from repro.world.contacts import ContactDetector, make_detector
+from repro.world.contacts import contact_pairs
 from repro.world.node import Node
 
 
@@ -30,7 +30,6 @@ class World:
         mobility: MobilityModel,
         nodes: list[Node],
         transfer_manager: TransferManager,
-        detector: ContactDetector | None = None,
         tick: float = 1.0,
     ) -> None:
         if len(nodes) != mobility.n_nodes:
@@ -45,16 +44,18 @@ class World:
         self.mobility = mobility
         self.nodes = sorted(nodes, key=lambda n: n.id)
         self.transfer_manager = transfer_manager
-        self.detector = detector or make_detector(len(nodes))
         self.tick = float(tick)
         self.links: set[tuple[int, int]] = set()
         #: Nodes currently offline (fault injection); they hold no links and
-        #: the detector's candidate pairs touching them are discarded.
+        #: detected pairs touching them are discarded.
         self.down_nodes: set[int] = set()
         self.positions = np.zeros((len(nodes), 2))
-        self._ranges = np.array([n.radio.range_m for n in self.nodes])
-        self._max_range = float(self._ranges.max())
-        self._uniform_range = bool(np.all(self._ranges == self._ranges[0]))
+        ranges = np.array([n.radio.range_m for n in self.nodes])
+        #: What :func:`contact_pairs` gets: one shared range when every
+        #: radio agrees, else the per-node array.
+        self._ranges: float | np.ndarray = (
+            float(ranges[0]) if np.all(ranges == ranges[0]) else ranges
+        )
         for node in self.nodes:
             node.attach_world(self)
 
@@ -76,9 +77,7 @@ class World:
         with timed(profiler, "movement"):
             self.positions = self.mobility.advance(now)
         with timed(profiler, "contacts"):
-            new_links = self.detector.pairs(self.positions, self._max_range)
-            if not self._uniform_range:
-                new_links = self._filter_heterogeneous(new_links)
+            new_links = contact_pairs(self.positions, self._ranges)
             if self.down_nodes:
                 new_links = {
                     (i, j)
@@ -96,15 +95,6 @@ class World:
                 self._link_up(self.nodes[i], self.nodes[j])
             self.links = new_links
 
-        self._routing_phase(now)
-
-    def _routing_phase(self, now: float) -> None:
-        """TTL purge, observer notification, idle-sender retries.
-
-        Shared tail of the tick, identical for every engine backend (the
-        vector world overrides :meth:`update` but runs this unchanged).
-        """
-        profiler = self.sim.profiler
         with timed(profiler, "routing"):
             for node in self.nodes:
                 if node.router is not None:
@@ -117,18 +107,6 @@ class World:
             for node in self.nodes:
                 if node.router is not None and not node.sending and node.neighbors:
                     node.router.try_send()
-
-    def _filter_heterogeneous(
-        self, pairs: set[tuple[int, int]]
-    ) -> set[tuple[int, int]]:
-        """Keep pairs within the *smaller* of the two nodes' radio ranges."""
-        keep: set[tuple[int, int]] = set()
-        for i, j in pairs:
-            limit = min(self._ranges[i], self._ranges[j])
-            diff = self.positions[i] - self.positions[j]
-            if float(diff @ diff) <= limit * limit:
-                keep.add((i, j))
-        return keep
 
     # -- link transitions ---------------------------------------------------
 

@@ -1,44 +1,48 @@
 """The backend-identity oracle: scalar vs vector divergence is a finding.
 
 Mutation-style coverage for the cross-backend metamorphic check: a healthy
-simulator passes it silently, while a deliberately broken vector contact
-kernel is caught, verified by its own cross-backend replay (not downgraded
-to a failure-replay record) and written to the corpus as a replayable
-backend-identity entry.
+simulator passes it silently, while a deliberately broken batched ranking —
+the only code the vector backend runs and the scalar one does not — is
+caught, verified by its own cross-backend replay (not downgraded to a
+failure-replay record) and written to the corpus as a replayable
+backend-identity entry.  The cases use SDSRP, a batchable policy, so the
+batched ranking is reached at all.
 """
 
 from __future__ import annotations
 
-import repro.vector.world as vector_world
 from repro.chaos.corpus import load_corpus, replay_reproduces
 from repro.chaos.fuzzer import fuzz
 from repro.chaos.oracles import ORACLE_BACKEND
 from repro.chaos.runner import check_backend_identity
+from repro.core.sdsrp import SdsrpPolicy
+from repro.routing.base import Router
 from tests.chaos.conftest import fast_space, tiny_case
 
 
-def break_vector_contacts(monkeypatch):
-    """Make the vector engine drop the last in-range pair each tick."""
-    real = vector_world.contact_keys_matrix
+def break_vector_ranking(monkeypatch):
+    """Make the batched SDSRP ranking (vector backend only) rank every
+    buffer backwards, and batch even one-message buffers."""
+    real = SdsrpPolicy.priorities
 
-    def lossy(positions, radius):
-        keys = real(positions, radius)
-        return keys[:-1] if keys.size else keys
+    def backwards(self, messages, now):
+        return [-value for value in real(self, messages, now)]
 
-    # VectorWorld resolves the kernel through make_contact_kernel at build
-    # time, which reads the module globals patched here.
-    monkeypatch.setattr(vector_world, "contact_keys_matrix", lossy)
+    monkeypatch.setattr(SdsrpPolicy, "priorities", backwards)
+    monkeypatch.setattr(Router, "batch_min_messages", 1)
 
 
 class TestCheckBackendIdentity:
     def test_healthy_case_passes_both_directions(self):
         for backend in ("scalar", "vector"):
-            case = tiny_case(engine_backend=backend)
+            case = tiny_case(engine_backend=backend, policy="sdsrp")
             assert check_backend_identity(case) is None
 
     def test_broken_vector_kernel_is_detected(self, monkeypatch):
-        break_vector_contacts(monkeypatch)
-        failure = check_backend_identity(tiny_case(engine_backend="vector"))
+        break_vector_ranking(monkeypatch)
+        failure = check_backend_identity(
+            tiny_case(engine_backend="vector", policy="sdsrp")
+        )
         assert failure is not None
         assert failure.oracle == ORACLE_BACKEND
         assert failure.invariant == "backend-identity"
@@ -49,7 +53,7 @@ class TestFuzzCampaign:
         report = fuzz(
             4,
             seed=1201,
-            space=fast_space(),
+            space=fast_space(policies=("sdsrp",)),
             metamorphic_every=1,
             shrink_failures=False,
         )
@@ -59,11 +63,11 @@ class TestFuzzCampaign:
     def test_broken_vector_engine_is_found_and_recorded(
         self, monkeypatch, tmp_path
     ):
-        break_vector_contacts(monkeypatch)
+        break_vector_ranking(monkeypatch)
         report = fuzz(
             4,
             seed=1201,
-            space=fast_space(),
+            space=fast_space(policies=("sdsrp",)),
             corpus_dir=str(tmp_path),
             metamorphic_every=1,
             shrink_failures=False,

@@ -89,7 +89,7 @@ class TestRanges:
         ]
         payload = json.dumps(records, sort_keys=True, default=str)
         assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == (
-            "203c29ea47c5a99caff9bcfbe607bf47fdd409e449093ff7efc235e0856298d9"
+            "bec98709bf27f59c7c3db779014e5499fe50bcea9102059baabc4826b972e2e2"
         )
 
 

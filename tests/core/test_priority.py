@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.params import FORM_CLOSED, FORM_TAYLOR
 from repro.core.priority import (
     PEAK_P_R,
     delivery_probability,
@@ -16,8 +17,10 @@ from repro.core.priority import (
     priority_closed_form,
     priority_from_probabilities,
     priority_taylor,
+    sdsrp_priority,
 )
 from repro.errors import ConfigurationError
+from repro.rng import RngFactory
 
 N = 100
 LAM = 1e-4
@@ -226,3 +229,55 @@ class TestEq12PeakCondition:
         u_lo = float(priority_closed_form(c_i, r * 0.5, 0, n_i, LAM, N))
         u_hi = float(priority_closed_form(c_i, r * 2.0, 0, n_i, LAM, N))
         assert u_peak > u_lo and u_peak > u_hi
+
+
+class TestSdsrpPriority:
+    """One entry point, scalars or arrays: an array call must equal the
+    per-element scalar calls of the underlying equations to the last bit
+    (the batched ranking pre-pass relies on it)."""
+
+    SEEDS = (0, 1, 2, 3, 4)
+
+    def sample(self, seed, size):
+        rng = RngFactory(seed).stream("tests.core.priority")
+        copies = rng.integers(1, 33, size=size)
+        remaining = rng.uniform(0.0, 18000.0, size=size)
+        m_seen = rng.integers(0, 10, size=size)
+        n_holders = np.maximum(1, m_seen + 1 - rng.integers(0, 3, size=size))
+        return copies, remaining, m_seen, n_holders
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_closed_form_is_bit_identical_to_scalar(self, seed):
+        copies, remaining, m_seen, n_holders = self.sample(seed, 200)
+        lam, n_nodes = 0.0004, 100
+        batch = sdsrp_priority(
+            copies, remaining, m_seen, n_holders, lam, n_nodes,
+            form=FORM_CLOSED,
+        )
+        scalar = [
+            float(priority_closed_form(
+                int(c), float(r), int(m), int(n), lam, n_nodes
+            ))
+            for c, r, m, n in zip(copies, remaining, m_seen, n_holders)
+        ]
+        assert batch.tolist() == scalar  # exact, not approx
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_taylor_form_is_bit_identical_to_scalar(self, seed):
+        copies, remaining, m_seen, n_holders = self.sample(seed, 200)
+        lam, n_nodes, terms = 0.0004, 100, 8
+        batch = sdsrp_priority(
+            copies, remaining, m_seen, n_holders, lam, n_nodes,
+            form=FORM_TAYLOR, taylor_terms=terms,
+        )
+        scalar = []
+        for c, r, m, n in zip(copies, remaining, m_seen, n_holders):
+            pt = p_delivered(int(m), n_nodes)
+            pr = p_remaining(int(c), float(r), int(n), lam, n_nodes)
+            scalar.append(float(priority_taylor(pt, pr, int(n), terms=terms)))
+        assert batch.tolist() == scalar
+
+    def test_empty_batch(self):
+        empty = np.empty(0)
+        out = sdsrp_priority(empty, empty, empty, empty, 0.001, 10)
+        assert out.size == 0

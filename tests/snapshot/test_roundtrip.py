@@ -141,6 +141,10 @@ class TestConfigRoundtrip:
                 {"shard_count": 2, "shard_kill": [0, 60]},
                 ["shard_count", "shard_kill"],
             ),
+            (
+                {"detector": "grid", "contact_backend": "matrix"},
+                ["detector", "contact_backend"],
+            ),
         ]:
             payload = {**encode_config(observed()), **extra}
             with pytest.raises(SnapshotError) as excinfo:

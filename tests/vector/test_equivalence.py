@@ -1,13 +1,14 @@
 """Differential equivalence: the vector backend replays the scalar bytes.
 
-The vector engine (:mod:`repro.vector`) is only allowed to exist because it
-is *observably identical* to the scalar reference: same seeded scenario,
-same event trace (byte-for-byte JSONL), same metric time series, same
-summary (modulo wall-clock fields).  This suite pins that contract cell by
-cell across the configuration matrix — every router, every buffer policy,
-every mobility model, faults, the runtime sanitizer, and both contact
-kernels — using axis-coverage grids rather than the full cross product so
-the matrix stays inside the tier-1 time budget.
+The vector backend (batched buffer ranking, ``Router.batch_eval``) is only
+allowed to exist because it is *observably identical* to the scalar
+reference: same seeded scenario, same event trace (byte-for-byte JSONL),
+same metric time series, same summary (modulo wall-clock fields).  This
+suite pins that contract cell by cell across the configuration matrix —
+every router, every buffer policy, every mobility model, faults, the
+runtime sanitizer, and both contact candidate branches — using
+axis-coverage grids rather than the full cross product so the matrix stays
+inside the tier-1 time budget.
 
 A trace diff here means the fast path changed *behaviour*, not just speed;
 see docs/vectorization.md for the contract and how to debug a mismatch.
@@ -20,6 +21,7 @@ import json
 
 import pytest
 
+import repro.world.contacts as contacts
 from repro.experiments.runner import build_scenario, run_built
 from repro.experiments.scenario import ROUTER_KINDS, ScenarioConfig
 from repro.faults.plan import FaultEvent, FaultPlan
@@ -27,14 +29,13 @@ from repro.policies.registry import available_policies
 from repro.routing.base import Router
 from repro.snapshot import restore, save
 from repro.snapshot.codec import canonical_json
-from repro.vector.world import VectorWorld
 from tests.obs.conftest import tiny_config
 from tests.obs.test_determinism import assert_identical
 from tests.snapshot.test_roundtrip import outputs, run_with_snapshot
 
 #: Fault schedule mixing rate-based churn/flaps with scripted events, so the
 #: equivalence cells exercise ``set_node_down``/``force_link_down`` — the
-#: out-of-band link mutations that invalidate the vector key mirror.
+#: out-of-band link mutations between world ticks.
 FAULTED = FaultPlan(
     churn_fraction=0.3,
     churn_off_time=200.0,
@@ -70,8 +71,6 @@ def backend_run(config: ScenarioConfig, backend: str) -> tuple[str, str, str]:
     built = build_scenario(config.replace(engine_backend=backend))
     summary = run_built(built)
     assert built.trace is not None and built.timeseries is not None
-    if backend == "vector":
-        assert isinstance(built.world, VectorWorld)
     return (
         built.trace.to_jsonl(),
         json.dumps(built.timeseries.as_dict(), sort_keys=True),
@@ -79,8 +78,12 @@ def backend_run(config: ScenarioConfig, backend: str) -> tuple[str, str, str]:
     )
 
 
-def assert_backends_agree(name: str, config: ScenarioConfig) -> None:
+def assert_backends_agree(
+    name: str, config: ScenarioConfig, before_vector=None
+) -> None:
     scalar = backend_run(config, "scalar")
+    if before_vector is not None:
+        before_vector()
     vector = backend_run(config, "vector")
     assert scalar[0], f"{name}: empty trace; the cell is vacuous"
     # assert_identical dumps both runs to REPRO_OBS_ARTIFACT_DIR on mismatch.
@@ -119,16 +122,23 @@ class TestMobilityAxis:
 
 class TestHardeningAxis:
     def test_faulted_run_matches(self):
-        """Churn + flaps + scripted events: the key mirror re-syncs right."""
+        """Churn + flaps + scripted events between ticks."""
         assert_backends_agree("faulted", observed(faults=FAULTED))
 
     def test_sanitized_run_matches(self):
         """The invariant sanitizer observes identical state on both paths."""
         assert_backends_agree("sanitized", observed(sanitize=True))
 
-    def test_grid_contact_backend_matches(self):
-        """Cell binning produces the same contacts as the dense kernel."""
-        assert_backends_agree("grid", observed(contact_backend="grid"))
+    def test_tree_contact_branch_matches(self, monkeypatch):
+        """The vector leg finds contacts with the cKDTree candidate branch,
+        the scalar leg with the upper triangle: same bytes."""
+        assert_backends_agree(
+            "tree",
+            observed(),
+            before_vector=lambda: monkeypatch.setattr(
+                contacts, "TREE_MIN_NODES", 2
+            ),
+        )
 
     def test_seeds_differ(self):
         """Anti-vacuity: different seeds produce different vector traces."""
@@ -164,7 +174,6 @@ class TestVectorSnapshot:
         config = observed(engine_backend="vector")
         snap, baseline = run_with_snapshot(config)
         restored = restore(snap)
-        assert isinstance(restored.world, VectorWorld)
         recaptured = save(restored)
         assert canonical_json(recaptured.state) == canonical_json(snap.state)
         assert recaptured.checksum == snap.checksum
