@@ -41,11 +41,10 @@ def test_full_run_throughput(benchmark, policy):
 
 
 @pytest.mark.benchmark(group="engine")
-@pytest.mark.parametrize("backend", ["scalar", "vector"])
-def test_backend_ticks_per_sec(benchmark, record_figure, backend):
-    """End-to-end ticks/sec per engine backend — the tracked throughput
-    metric (accumulates one key per backend in bench_results.json)."""
-    config = small_config("sdsrp").replace(engine_backend=backend)
+def test_ticks_per_sec(benchmark, record_figure):
+    """End-to-end ticks/sec of the SDSRP scenario — the tracked throughput
+    metric."""
+    config = small_config("sdsrp")
 
     def work():
         built = build_scenario(config)
@@ -56,52 +55,12 @@ def test_backend_ticks_per_sec(benchmark, record_figure, backend):
     assert built.metrics.created > 0
     elapsed = best_of(work, repeats=2)
     ticks_per_sec = (config.sim_time / config.tick) / elapsed
-    record_figure(f"engine_ticks_per_sec_{backend}", {
+    record_figure("engine_ticks_per_sec_scalar", {
         "scenario": config.name,
-        "backend": backend,
+        "backend": config.engine_backend,
         "ticks_per_sec": ticks_per_sec,
     })
-    print(f"\n{backend}: {ticks_per_sec:.0f} ticks/sec")
-
-
-@pytest.mark.benchmark(group="engine")
-def test_routing_prepass_speedup(benchmark, record_figure):
-    """Batched SDSRP ranking (Eqs. 4-13, the vector routing pre-pass) vs
-    per-message scalar evaluation over a sweep-sized population."""
-    import numpy as np
-
-    from repro.core.priority import priority_closed_form, sdsrp_priority
-
-    rng = np.random.default_rng(2)
-    size = 5000
-    copies = rng.integers(1, 33, size=size)
-    remaining = rng.uniform(0.0, 18000.0, size=size)
-    m_seen = rng.integers(0, 10, size=size)
-    n_holders = np.maximum(1, m_seen + 1 - rng.integers(0, 3, size=size))
-    lam, n_nodes = 0.0004, 100
-
-    def scalar():
-        return [
-            float(priority_closed_form(
-                int(c), float(r), int(m), int(n), lam, n_nodes
-            ))
-            for c, r, m, n in zip(copies, remaining, m_seen, n_holders)
-        ]
-
-    def batched():
-        return sdsrp_priority(
-            copies, remaining, m_seen, n_holders, lam, n_nodes
-        )
-
-    got = run_once(benchmark, batched)
-    assert got.tolist() == scalar()
-    speedup = best_of(scalar) / best_of(batched)
-    record_figure("engine_routing_prepass", {
-        "messages": size,
-        "speedup": speedup,
-    })
-    print(f"\nrouting pre-pass: {speedup:.1f}x over per-message calls")
-    assert speedup >= 5.0
+    print(f"\n{ticks_per_sec:.0f} ticks/sec")
 
 
 @pytest.mark.benchmark(group="engine")

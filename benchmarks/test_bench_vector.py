@@ -1,15 +1,12 @@
-"""Vector engine benchmarks: kernel speedup, throughput, regression gate.
+"""Priority kernel benchmark and its regression gate.
 
-Three kinds of numbers, recorded into ``bench_results.json`` (see
-docs/vectorization.md for what each one honestly measures):
+Two numbers, recorded into ``bench_results.json``:
 
-* **kernel speedup** — the batched SDSRP priority against per-message
-  scalar calls, the same comparison ``tests/core/test_priority.py`` pins
-  bit for bit.  This is where batching pays by an order of magnitude.
-* **end-to-end throughput** — ``ticks_per_sec`` for the same scenario on
-  both engine backends.  Whole runs are routing/transfer bound (Amdahl),
-  so the honest end-to-end ratio is modest; it is recorded, not inflated.
-* **the regression gate** — measured *speedup ratios* are compared against
+* **kernel speedup** — one array call of the SDSRP priority against
+  per-message scalar calls, the same comparison
+  ``tests/core/test_priority.py`` pins bit for bit (the Fig. 4 curves
+  take the array path).
+* **the regression gate** — the measured *speedup ratio* is compared against
   ``benchmarks/results/vector_baseline.json``.  Ratios divide two numbers
   from the same machine and run, so the gate is hardware-independent; a
   ratio more than 20% below its committed baseline fails the suite.
@@ -24,9 +21,6 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import best_of, run_once
-from repro.experiments import random_waypoint_scenario, scale_scenario
-from repro.experiments.figures import REDUCED_INTERVAL_FACTOR
-from repro.experiments.runner import build_scenario
 from repro.core.priority import priority_closed_form, sdsrp_priority
 
 BASELINE_PATH = Path(__file__).parent / "results" / "vector_baseline.json"
@@ -81,54 +75,7 @@ def test_priority_kernel_speedup(benchmark, record_figure):
     )
 
 
-@pytest.mark.benchmark(group="vector-engine")
-def test_backend_ticks_per_sec(benchmark, record_figure):
-    """End-to-end throughput of the same scenario on both backends."""
-    base = scale_scenario(
-        random_waypoint_scenario(policy="sdsrp", seed=5),
-        node_factor=0.25,
-        time_factor=0.2,
-        interval_factor=REDUCED_INTERVAL_FACTOR,
-    )
-
-    def run(backend: str) -> float:
-        config = base.replace(engine_backend=backend)
-
-        def work():
-            built = build_scenario(config)
-            built.sim.run()
-            return built
-
-        elapsed = best_of(work, repeats=2)
-        return (config.sim_time / config.tick) / elapsed
-
-    scalar_tps = run("scalar")
-
-    def vector_work():
-        built = build_scenario(base.replace(engine_backend="vector"))
-        built.sim.run()
-        return built
-
-    built = run_once(benchmark, vector_work)
-    assert built.metrics.created > 0
-    vector_tps = run("vector")
-    ratio = vector_tps / scalar_tps
-    _measured["engine_ticks_ratio"] = ratio
-    record_figure("vector_engine_throughput", {
-        "scenario": base.name,
-        "ticks_per_sec": {"scalar": scalar_tps, "vector": vector_tps},
-        "vector_over_scalar": ratio,
-    })
-    print(
-        f"\nticks/sec: scalar {scalar_tps:.0f}, vector {vector_tps:.0f} "
-        f"({ratio:.2f}x)"
-    )
-    # End-to-end is routing/transfer bound; the vector path must at least
-    # not regress the whole-run throughput materially.
-    assert ratio >= 0.8, f"vector backend slowed the whole run: {ratio:.2f}x"
-
-
-@pytest.mark.benchmark(group="vector-engine")
+@pytest.mark.benchmark(group="vector-kernels")
 def test_speedups_hold_against_committed_baseline(record_figure):
     """CI gate: every measured speedup ratio stays within 20% of the
     committed baseline (``vector_baseline.json``)."""

@@ -22,8 +22,8 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-from repro.chaos.oracles import ORACLE_BACKEND, OracleFailure
-from repro.chaos.runner import CaseResult, check_backend_identity, run_case
+from repro.chaos.oracles import OracleFailure
+from repro.chaos.runner import CaseResult, run_case
 from repro.errors import ObsFormatError
 from repro.experiments.checkpoint import config_fingerprint
 from repro.experiments.scenario import ScenarioConfig
@@ -170,14 +170,7 @@ def replay_entry(entry: dict[str, Any]) -> CaseResult:
 def replay_reproduces(entry: dict[str, Any]) -> bool:
     """Does the entry still fail the same way?  (The replay oracle for
     corpus entries; the corpus-replay test asserts this for every
-    committed file.)
-
-    Invariant-family entries replay through :func:`run_case`; a
-    backend-identity entry re-runs its metamorphic comparison instead,
-    since :func:`run_case` alone can never observe a cross-backend
-    divergence."""
+    committed file.)"""
     expected = OracleFailure.from_dict(entry["failure"])
     config = decode_config(entry["config"])
-    if expected.oracle == ORACLE_BACKEND:
-        return expected.matches(check_backend_identity(config))
     return expected.matches(run_case(config).failure)

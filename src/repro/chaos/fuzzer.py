@@ -8,11 +8,9 @@
    (:func:`~repro.chaos.runner.run_case`);
 3. every ``metamorphic_every``-th *clean* case additionally pays for the
    expensive oracles: replay byte-identity (run the same config twice and
-   compare digests), backend identity (the same case on the other engine
-   backend — scalar vs vector — must replay the exact bytes), zero-fault
-   identity (a disabled fault plan must match a plan-free run
-   byte-for-byte) and buffer monotonicity (half the buffer must not
-   *improve* delivery at fixed seed);
+   compare digests), zero-fault identity (a disabled fault plan must match
+   a plan-free run byte-for-byte) and buffer monotonicity (half the buffer
+   must not *improve* delivery at fixed seed);
 4. a failing case is verified by replay (same failure class again — a
    non-reproducing failure is itself a replay-oracle finding), shrunk via
    :mod:`~repro.chaos.shrink`, localized via
@@ -34,7 +32,6 @@ from typing import Any, Callable
 from repro.chaos.bisect import locate_violation
 from repro.chaos.corpus import make_entry, write_entry
 from repro.chaos.oracles import (
-    ORACLE_BACKEND,
     ORACLE_BUFFER_MONOTONE,
     ORACLE_INVARIANT,
     ORACLE_REPLAY,
@@ -42,7 +39,7 @@ from repro.chaos.oracles import (
     OracleFailure,
     check_buffer_monotone,
 )
-from repro.chaos.runner import case_digest, check_backend_identity, run_case
+from repro.chaos.runner import case_digest, run_case
 from repro.chaos.shrink import shrink, shrink_stats
 from repro.chaos.space import ChaosSpace, describe_case, sample_case
 from repro.experiments.scenario import ScenarioConfig
@@ -203,13 +200,6 @@ def _metamorphic_checks(
             invariant="self-replay",
         )
 
-    # Backend identity: the same case on the *other* engine backend must
-    # replay the exact bytes (reuses `first` from the replay check above).
-    report.count(ORACLE_BACKEND)
-    backend_failure = check_backend_identity(config, own_digest=first)
-    if backend_failure is not None:
-        return backend_failure
-
     partner = _zero_fault_pair(config)
     if partner is not None:
         report.count(ORACLE_ZERO_FAULT)
@@ -252,13 +242,6 @@ def _handle_failure(
     say: Callable[[str], None],
 ) -> Finding:
     """Verify by replay, shrink, localize and record one failure."""
-    # A backend-identity failure can only be re-observed by its own
-    # cross-backend comparison; run_case alone would always "pass" and
-    # wrongly downgrade the finding to a failure-replay record.  The same
-    # checker drives shrinking, so candidates are accepted on the oracle
-    # that actually fired.
-    if failure.oracle == ORACLE_BACKEND:
-        check = check_backend_identity
     replayed = check(config)
     replay_confirmed = failure.matches(replayed)
     if not replay_confirmed:

@@ -8,12 +8,9 @@ Three oracle families judge every fuzzed case (docs/chaos.md):
   consistent — delivered ≤ created, no negative counters
   (:data:`ORACLE_SUMMARY`);
 * **metamorphic oracles** — a chaos run whose fault plan is disabled must
-  be byte-identical to the plain run (:data:`ORACLE_ZERO_FAULT`), at a
-  fixed seed the delivery ratio must not *improve* when the buffer shrinks
-  (:data:`ORACLE_BUFFER_MONOTONE`), and the scalar and vector engine
-  backends must produce byte-identical runs of the same case
-  (:data:`ORACLE_BACKEND`, the differential contract of
-  docs/vectorization.md);
+  be byte-identical to the plain run (:data:`ORACLE_ZERO_FAULT`), and at
+  a fixed seed the delivery ratio must not *improve* when the buffer shrinks
+  (:data:`ORACLE_BUFFER_MONOTONE`);
 * **replay oracles** — re-running any case from its recorded config must
   reproduce it byte-identically; for failures, the same oracle must fire
   with the same invariant (:data:`ORACLE_REPLAY`).
@@ -32,7 +29,6 @@ ORACLE_CRASH = "crash"
 ORACLE_SUMMARY = "summary"
 ORACLE_ZERO_FAULT = "zero-fault-identity"
 ORACLE_BUFFER_MONOTONE = "buffer-monotone"
-ORACLE_BACKEND = "backend-identity"
 ORACLE_REPLAY = "replay"
 ORACLE_FAMILIES = (
     ORACLE_INVARIANT,
@@ -40,7 +36,6 @@ ORACLE_FAMILIES = (
     ORACLE_SUMMARY,
     ORACLE_ZERO_FAULT,
     ORACLE_BUFFER_MONOTONE,
-    ORACLE_BACKEND,
     ORACLE_REPLAY,
 )
 

@@ -7,8 +7,9 @@ Notation (Table I of the paper):
 * ``m_i`` — nodes (excl. source) that have seen message i.
 * ``n_i`` — nodes currently holding a copy.
 
-All functions broadcast over NumPy arrays, so the policy can rank a whole
-buffer in one call and the Fig. 4 benchmark can sweep curves vectorized.
+All functions broadcast over NumPy arrays, so the Fig. 4 curves sweep a
+whole axis in one call; the policy ranks one message at a time with the
+same functions.
 
 The recurring sub-expression is the exponent coefficient
 

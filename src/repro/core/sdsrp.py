@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core import params as P
 from repro.core.dropped_list import DroppedListStore
 from repro.core.intermeeting import (
@@ -90,11 +88,6 @@ class SdsrpPolicy(BufferPolicy):
 
     name = "sdsrp"
     compare_newcomer = True  # Algorithm 1: the newcomer competes
-    # The priority is a pure function of message/estimator state, so batch
-    # evaluation (vector engine backend) is exact; priorities() pushes the
-    # whole buffer through the same sdsrp_priority ufuncs the scalar path
-    # uses, which makes the two bit-identical per element.
-    batchable = True
 
     def __init__(
         self,
@@ -176,44 +169,11 @@ class SdsrpPolicy(BufferPolicy):
         )
         return float(value)
 
-    def priorities(self, messages: list[Message], now: float) -> list[float]:
-        """U_i for a whole message list, one ufunc pass (exact vs scalar).
-
-        ``m_i``/``n_i`` estimation stays per message (spray-time lineages
-        have ragged lengths); the float-heavy Eq. 10/13 evaluation is
-        batched.  Element k equals ``priority(messages[k], now)`` to the
-        last bit because both paths call the same
-        :func:`~repro.core.priority.sdsrp_priority`.
-        """
-        if not messages:
-            return []
-        lam = self._lambda()
-        m_list: list[int] = []
-        n_list: list[int] = []
-        for message in messages:
-            m, n = self._infection(message, now)
-            m_list.append(m)
-            n_list.append(n)
-        copies = np.array([self._priority_copies(m) for m in messages])
-        r = np.array([m.remaining_ttl(now) for m in messages])
-        values = sdsrp_priority(
-            copies, r, np.array(m_list), np.array(n_list), lam, self._n_nodes,
-            form=self.params.priority_form,
-            taylor_terms=self.params.taylor_terms,
-        )
-        return [float(v) for v in values]
-
     def send_priority(self, message: Message, now: float) -> float:
         return self.priority(message, now)
 
     def drop_priority(self, message: Message, now: float) -> float:
         return self.priority(message, now)
-
-    def send_priorities(self, messages: list[Message], now: float) -> list[float]:
-        return self.priorities(messages, now)
-
-    def drop_priorities(self, messages: list[Message], now: float) -> list[float]:
-        return self.priorities(messages, now)
 
     # -- hooks ------------------------------------------------------------------
 

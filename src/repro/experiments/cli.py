@@ -22,7 +22,11 @@ from typing import Any
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.experiments import figures as F
 from repro.experiments.runner import build_scenario, run_built
-from repro.experiments.scenario import epfl_scenario, random_waypoint_scenario
+from repro.experiments.scenario import (
+    ENGINE_BACKENDS,
+    epfl_scenario,
+    random_waypoint_scenario,
+)
 from repro.faults.plan import FaultPlan
 from repro.obs.trace import DEFAULT_TRACE_CAPACITY, format_record
 from repro.reports.summary import RunSummary
@@ -91,7 +95,7 @@ def _cmd_run_analytic(args: argparse.Namespace) -> int:
     if args.from_snapshot:
         raise ConfigurationError(
             f"the {args.engine!r} backend has no simulator state; "
-            "--from-snapshot needs the scalar/vector engine"
+            "--from-snapshot needs the scalar engine"
         )
     result = run_analytic(config)
     summary = (
@@ -287,12 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--policy", default="sdsrp")
     p_run.add_argument("--copies", type=int, default=32)
     p_run.add_argument("--engine",
-                       choices=("scalar", "vector", "analytic", "hybrid"),
+                       choices=ENGINE_BACKENDS,
                        default="scalar",
-                       help="engine backend: per-message scalar ranking, "
-                            "batched buffer ranking (byte-identical output; "
-                            "see docs/vectorization.md), the "
-                            "mean-field analytic surrogate, or the hybrid "
+                       help="engine backend: the discrete-event simulator, "
+                            "the mean-field analytic surrogate, or the hybrid "
                             "analytic+sampled mode (docs/analytic.md)")
     p_run.add_argument("--reduced", action="store_true",
                        help="run the reduced-scale variant")

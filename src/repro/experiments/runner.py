@@ -204,13 +204,9 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
     world = World(sim, mobility, nodes, transfer_manager, tick=config.tick)
 
     policies, shared = _make_policies(config, sim)
-    # The vector backend is the scalar world plus the batched ranking
-    # pre-pass; both produce the same bytes (tests/vector).
-    batch_eval = config.engine_backend == "vector"
     for node, policy in zip(nodes, policies):
         router = _make_router(config, node, policy)
         router.deliverable_first = config.deliverable_first
-        router.batch_eval = batch_eval
         router.bind(sim, transfer_manager, config.n_nodes, rng=rng)
 
     metrics = MetricsCollector(warmup=config.metrics_warmup)

@@ -20,13 +20,11 @@ from repro.units import kbps, megabytes, minutes
 MOBILITY_KINDS = (
     "rwp", "taxi", "random-walk", "random-direction", "stationary", "trace",
 )
-#: Engine backends (see docs/vectorization.md and docs/analytic.md):
-#: "scalar" ranks buffers one message at a time, "vector" adds the batched
-#: ranking pre-pass proven byte-identical by tests/vector/test_equivalence.py,
-#: "analytic" is the mean-field surrogate (repro.analytic; no simulation at
-#: all), and "hybrid" the analytic field plus sampled discrete per-message
-#: outcomes.
-ENGINE_BACKENDS = ("scalar", "vector", "analytic", "hybrid")
+#: Engine backends (see docs/analytic.md): "scalar" is the discrete-event
+#: simulator, "analytic" the mean-field surrogate (repro.analytic; no
+#: simulation at all), and "hybrid" the analytic field plus sampled
+#: discrete per-message outcomes.
+ENGINE_BACKENDS = ("scalar", "analytic", "hybrid")
 #: The two backends served by the mean-field models.
 ANALYTIC_BACKENDS = ("analytic", "hybrid")
 #: Routers with an analytic model (repro.analytic.runner dispatches on
@@ -78,8 +76,7 @@ class ScenarioConfig:
     deliverable_first: bool = False
     # -- engine --
     tick: float = 1.0
-    #: "scalar" (reference) or "vector" (batched buffer ranking; same
-    #: events, byte-identical traces — see docs/vectorization.md).
+    #: One of :data:`ENGINE_BACKENDS`; "scalar" runs the simulator.
     engine_backend: str = "scalar"
     seed: int = 1
     #: Optional fault model (node churn, link flaps, transfer truncation);
@@ -169,7 +166,7 @@ class ScenarioConfig:
         if self.faults is not None and self.faults.enabled:
             raise ConfigurationError(
                 f"the {backend!r} backend cannot inject faults; "
-                "use the scalar/vector simulator for fault studies"
+                "use the scalar simulator for fault studies"
             )
         if self.sanitize:
             raise ConfigurationError(

@@ -57,15 +57,6 @@ class BufferPolicy(ABC):
     #: dropping buffered messages (ONE's default FIFO behaviour).
     compare_newcomer: bool = True
 
-    #: If True, ranking a whole message list at once (:meth:`send_priorities`
-    #: / :meth:`drop_priorities`) is *observably identical* to ranking each
-    #: message on demand — pure functions of message/estimator state, no RNG
-    #: draws or other per-query side effects.  The vector engine backend
-    #: only batch-evaluates policies that opt in; lazily-stateful policies
-    #: (e.g. random drop, which draws a sticky score on first query) must
-    #: stay False or batching would reorder their side effects.
-    batchable: bool = False
-
     def __init__(self) -> None:
         self.ctx: PolicyContext | None = None
 
@@ -84,21 +75,6 @@ class BufferPolicy(ABC):
     @abstractmethod
     def drop_priority(self, message: Message, now: float) -> float:
         """Lower value = dropped earlier on overflow."""
-
-    # -- batched rankings (vector engine backend) ------------------------------
-
-    def send_priorities(self, messages: list[Message], now: float) -> list[float]:
-        """Send priorities for *messages*, element-aligned.
-
-        The default loops over :meth:`send_priority`; :attr:`batchable`
-        policies override with an array kernel returning the exact same
-        floats (pinned by ``tests/core/test_sdsrp_policy.py``).
-        """
-        return [self.send_priority(m, now) for m in messages]
-
-    def drop_priorities(self, messages: list[Message], now: float) -> list[float]:
-        """Drop priorities for *messages*, element-aligned (see above)."""
-        return [self.drop_priority(m, now) for m in messages]
 
     # -- hooks (default: no-ops) -----------------------------------------------
 

@@ -64,22 +64,6 @@ class Router:
     #: for the paper comparison; the flag is an ablation axis.
     deliverable_first = False
 
-    #: Pre-rank whole buffers with the policy's batched kernels
-    #: (:meth:`~repro.policies.base.BufferPolicy.send_priorities` /
-    #: ``drop_priorities``) instead of per-message calls.  Set by the
-    #: scenario builder for the vector engine backend; only takes effect for
-    #: policies flagged :attr:`~repro.policies.base.BufferPolicy.batchable`,
-    #: whose batched floats are bit-identical to their scalar ones — so
-    #: routing decisions (and traces) never change, only evaluation cost.
-    batch_eval = False
-
-    #: Smallest message population worth shipping to an array kernel: below
-    #: this, NumPy's fixed per-call overhead loses to plain Python calls, so
-    #: the batched paths fall back to scalar evaluation.  Purely a cost
-    #: dispatch — both sides produce identical floats (the equivalence suite
-    #: runs with this forced to 1 to pin the batched branch).
-    batch_min_messages = 16
-
     def __init__(self, node: Node, policy: BufferPolicy) -> None:
         self.node = node
         self.policy = policy
@@ -201,30 +185,18 @@ class Router:
             for victim in victims:
                 self.drop_message(victim, DROP_OVERFLOW)
             return buffer.fits(incoming)
-        batched = self.batch_eval and self.policy.batchable
         while not buffer.fits(incoming):
             candidates = buffer.droppable()
             if not candidates:
                 return False
-            if batched and len(candidates) >= self.batch_min_messages:
-                pris = self.policy.drop_priorities(candidates, now)
-                # First index of the minimum == min(candidates, key=...)'s
-                # first-minimal tie-breaking.
-                k = min(range(len(candidates)), key=pris.__getitem__)
-                worst = candidates[k]
-                if allow_reject and (
-                    self.policy.drop_priorities([incoming], now)[0] <= pris[k]
-                ):
-                    return False
-            else:
-                worst = min(
-                    candidates, key=lambda m: self.policy.drop_priority(m, now)
-                )
-                if allow_reject and (
-                    self.policy.drop_priority(incoming, now)
-                    <= self.policy.drop_priority(worst, now)
-                ):
-                    return False
+            worst = min(
+                candidates, key=lambda m: self.policy.drop_priority(m, now)
+            )
+            if allow_reject and (
+                self.policy.drop_priority(incoming, now)
+                <= self.policy.drop_priority(worst, now)
+            ):
+                return False
             self.drop_message(worst, DROP_OVERFLOW)
         return True
 
@@ -274,20 +246,6 @@ class Router:
 
     def _select_next_inner(self) -> tuple[Node, Message, str] | None:
         now = self.now
-        # Batched pre-pass (vector backend): rank the whole buffer in one
-        # policy call.  Safe only for batchable (pure) policies, whose
-        # batched floats match the scalar per-message calls exactly — the
-        # selected pair is therefore identical either way.
-        ranks: dict[str, float] | None = None
-        if self.batch_eval and self.policy.batchable:
-            buffered = list(self.node.buffer)
-            if len(buffered) >= self.batch_min_messages:
-                ranks = dict(
-                    zip(
-                        (m.msg_id for m in buffered),
-                        self.policy.send_priorities(buffered, now),
-                    )
-                )
         best_delivery: tuple[float, Node, Message] | None = None
         best_relay: tuple[float, Node, Message, str] | None = None
         for message in self.node.buffer:
@@ -298,11 +256,7 @@ class Router:
                     continue
                 if message.destination == peer.id:
                     if peer.router.will_accept(message, self.node):
-                        rank = (
-                            ranks[message.msg_id]
-                            if ranks is not None
-                            else self.policy.send_priority(message, now)
-                        )
+                        rank = self.policy.send_priority(message, now)
                         if best_delivery is None or rank > best_delivery[0]:
                             best_delivery = (rank, peer, message)
                     continue
@@ -311,11 +265,7 @@ class Router:
                     continue
                 if not peer.router.will_accept(message, self.node):
                     continue
-                rank = (
-                    ranks[message.msg_id]
-                    if ranks is not None
-                    else self.policy.send_priority(message, now)
-                )
+                rank = self.policy.send_priority(message, now)
                 if best_relay is None or rank > best_relay[0]:
                     best_relay = (rank, peer, message, mode)
         if best_delivery is not None and (

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.checkpoint import config_fingerprint
 from repro.experiments.scenario import ScenarioConfig
 from repro.reports.summary import FailedRun, RunSummary
@@ -283,19 +283,20 @@ class ScenarioService:
                 self.stats.cache_hits += 1
                 continue
             if job.config is None:
-                self.store.record_failed(
-                    job_id,
-                    error_type="MissingConfig",
-                    error_message=(
-                        "journal lost this job's config payload; "
-                        "resubmit the scenario"
-                    ),
-                    attempts=job.attempts,
+                self._fail_undispatchable(
+                    job,
+                    "MissingConfig",
+                    "journal lost this job's config payload; "
+                    "resubmit the scenario",
                 )
-                self._open_by_fp.pop(job.fingerprint, None)
-                self.stats.failed += 1
                 continue
-            config = decode_config(job.config)
+            try:
+                config = decode_config(job.config)
+            except ReproError as exc:
+                # Journaled by an older build (a field or option value
+                # since removed): fail this job, not every restart.
+                self._fail_undispatchable(job, type(exc).__name__, str(exc))
+                continue
             if config.snapshot_every > 0 and config.snapshot_to is None:
                 # Mid-run resume for long jobs, the sweep engine's idiom:
                 # the job rolls a snapshot keyed by its fingerprint under
@@ -310,6 +311,19 @@ class ScenarioService:
                 )
             self.store.record_running(job_id, attempts=job.attempts + 1)
             self.supervisor.submit(job_id, config, attempts=job.attempts)
+
+    def _fail_undispatchable(
+        self, job: JobRecord, error_type: str, error_message: str
+    ) -> None:
+        """Record a job that cannot even be handed to a worker as failed."""
+        self.store.record_failed(
+            job.job_id,
+            error_type=error_type,
+            error_message=error_message,
+            attempts=job.attempts,
+        )
+        self._open_by_fp.pop(job.fingerprint, None)
+        self.stats.failed += 1
 
     def _settle(self, job_id: str, outcome: JobOutcome) -> None:
         job = self.store.get(job_id)

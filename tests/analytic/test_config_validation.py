@@ -43,12 +43,17 @@ class TestEnvelope:
             {"with_buffer_report": True},
             {"metrics_warmup": 50.0},
             {"profile": True},
+            {"engine_backend": "vector"},
         ],
         ids=lambda o: next(iter(o)),
     )
     def test_unsupported_features_rejected_at_construction(self, overrides):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as excinfo:
             analytic_config(**overrides)
+        if "engine_backend" in overrides:
+            # An unknown backend (such as the removed "vector") is refused
+            # with the list of accepted ones.
+            assert str(ENGINE_BACKENDS) in str(excinfo.value)
 
     def test_disabled_fault_plan_is_allowed(self):
         # A plan with nothing enabled changes no numbers; only *enabled*
@@ -76,9 +81,7 @@ class TestRunnerGuards:
 
 
 class TestChaosAxis:
-    SPACE = ChaosSpace(
-        engine_backends=("scalar", "vector", "analytic", "hybrid")
-    )
+    SPACE = ChaosSpace(engine_backends=("scalar", "analytic", "hybrid"))
 
     def test_sampled_analytic_cases_construct_and_pass(self):
         """Every analytic/hybrid draw is coerced into the envelope and runs
@@ -97,7 +100,7 @@ class TestChaosAxis:
             result = run_case(config)
             assert result.ok, result.failure
             assert result.trace_jsonl is None
-        # The backend axis is drawn uniformly: 24 draws over 4 backends
+        # The backend axis is drawn uniformly: 24 draws over 3 backends
         # make an analytic-family case overwhelmingly likely.
         assert seen_analytic >= 3
 
@@ -105,6 +108,6 @@ class TestChaosAxis:
         """The default space must keep the historical (seed, index) ->
         case mapping: no analytic backends, identical draws."""
         default = ChaosSpace()
-        assert default.engine_backends == ("scalar", "vector")
+        assert default.engine_backends == ("scalar",)
         config = sample_case(default, base_seed=2024, index=0)
-        assert config.engine_backend in ("scalar", "vector")
+        assert config.engine_backend == "scalar"

@@ -1,10 +1,8 @@
-"""Analytic backend vs the discrete simulators (ISSUE 9 satellite 1).
+"""Analytic backend vs the discrete simulator.
 
 Each grid point runs the scalar simulator over a few seeds and compares
 the seed-averaged delivery ratio and mean delay with the analytic
-expectation for the *same* :class:`ScenarioConfig`.  One point re-runs on
-the vector backend, which is byte-identical to scalar (tier-1 guarantee),
-to pin the analytic-vs-vector leg explicitly.
+expectation for the *same* :class:`ScenarioConfig`.
 
 Tolerance bands (documented in docs/analytic.md, measured over 3 seeds on
 this exact grid):
@@ -49,11 +47,11 @@ GRID = (
 )
 
 
-def _simulated(config, backend):
+def _simulated(config):
     ratios, delays = [], []
     for seed in SEEDS:
         summary = run_scenario(
-            config.replace(engine_backend=backend, seed=seed)
+            config.replace(engine_backend="scalar", seed=seed)
         )
         ratios.append(summary.delivery_ratio)
         if not math.isnan(summary.average_latency):
@@ -73,7 +71,7 @@ def test_analytic_matches_scalar_simulator(
         n_nodes=n_nodes, copies=copies, buffer_msgs=buffer_msgs
     )
     analytic = run_analytic(config)
-    sim_ratio, sim_delay = _simulated(config, "scalar")
+    sim_ratio, sim_delay = _simulated(config)
 
     assert abs(analytic.delivery_ratio - sim_ratio) <= ratio_tol, (
         f"delivery ratio: analytic {analytic.delivery_ratio:.3f} vs "
@@ -83,15 +81,6 @@ def test_analytic_matches_scalar_simulator(
         f"mean delay: analytic {analytic.average_latency:.0f}s vs "
         f"scalar {sim_delay:.0f}s"
     )
-
-
-def test_analytic_matches_vector_simulator():
-    """One grid point against the struct-of-arrays backend: same bands."""
-    config = analytic_config(n_nodes=20, copies=8, buffer_msgs=40)
-    analytic = run_analytic(config)
-    sim_ratio, sim_delay = _simulated(config, "vector")
-    assert abs(analytic.delivery_ratio - sim_ratio) <= 0.12
-    assert abs(analytic.average_latency - sim_delay) <= 0.30 * sim_delay
 
 
 def test_analytic_reproduces_copies_trend():

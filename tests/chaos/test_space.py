@@ -59,26 +59,35 @@ class TestRanges:
             assert case.policy == "fifo"
 
     def test_both_engine_backends_are_sampled(self):
-        backends = {
-            sample_case(ChaosSpace(), 6, i).engine_backend for i in range(30)
-        }
-        assert backends == {"scalar", "vector"}
+        space = ChaosSpace(engine_backends=("scalar", "analytic"))
+        backends = {sample_case(space, 6, i).engine_backend for i in range(30)}
+        assert backends == {"scalar", "analytic"}
 
     def test_backend_axis_can_be_restricted(self):
-        space = fast_space(engine_backends=("vector",))
+        space = fast_space(engine_backends=("analytic",))
         for i in range(10):
-            assert sample_case(space, 2, i).engine_backend == "vector"
+            assert sample_case(space, 2, i).engine_backend == "analytic"
 
     def test_backend_draw_does_not_shift_earlier_axes(self):
-        """The backend is drawn last: every other field of a case must be
-        unchanged from what a backend-free space would have produced, so
-        pre-existing corpus entries keep their (seed, index) identity."""
-        wide = ChaosSpace()
-        narrow = ChaosSpace(engine_backends=("scalar",))
+        """The backend is drawn last: the draws before it must be unchanged
+        from what a one-backend space would have produced, so pre-existing
+        corpus entries keep their (seed, index) identity."""
+        wide = ChaosSpace(engine_backends=("scalar", "analytic"))
+        narrow = ChaosSpace()
+        drawn = set()
         for i in range(15):
-            a = sample_case(wide, 4, i).replace(engine_backend="scalar")
+            a = sample_case(wide, 4, i)
             b = sample_case(narrow, 4, i)
+            drawn.add(a.engine_backend)
+            if a.engine_backend == "analytic":
+                # Only the fields the analytic envelope coerces may differ.
+                a = a.replace(
+                    engine_backend="scalar", router=b.router,
+                    mobility=b.mobility, faults=b.faults,
+                    sanitize=b.sanitize, trace_capacity=b.trace_capacity,
+                )
             assert a == b
+        assert drawn == {"scalar", "analytic"}
 
     def test_seed_index_to_case_mapping_is_pinned(self):
         """Pins the (seed, index) -> case mapping the committed corpus
@@ -89,7 +98,7 @@ class TestRanges:
         ]
         payload = json.dumps(records, sort_keys=True, default=str)
         assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == (
-            "bec98709bf27f59c7c3db779014e5499fe50bcea9102059baabc4826b972e2e2"
+            "8973a423b595e0fe65f37babb13dd2efc4fe33a4390551245372bc7bc56d6f4f"
         )
 
 

@@ -234,7 +234,7 @@ class TestEq12PeakCondition:
 class TestSdsrpPriority:
     """One entry point, scalars or arrays: an array call must equal the
     per-element scalar calls of the underlying equations to the last bit
-    (the batched ranking pre-pass relies on it)."""
+    (the Fig. 4 curves make array calls, the policy scalar ones)."""
 
     SEEDS = (0, 1, 2, 3, 4)
 

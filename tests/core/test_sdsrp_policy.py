@@ -7,11 +7,9 @@ import pytest
 from repro.core.params import SdsrpParams
 from repro.core.sdsrp import SdsrpPolicy, SdsrpShared
 from repro.errors import ConfigurationError
-from repro.experiments.runner import build_scenario, run_built
 from repro.net.outcomes import ReceiveOutcome
 from repro.units import megabytes
 from tests.helpers import build_micro_world, make_message
-from tests.obs.conftest import tiny_config
 
 
 def sdsrp_world(points, params: SdsrpParams | None = None, **kw):
@@ -204,35 +202,3 @@ class TestSharedFactory:
                                 area=(10_000.0, 1_000.0))
         assert (mw2.router(0).policy.estimator
                 is not mw2.router(1).policy.estimator)
-
-
-class TestPolicyBatchOnRealBuffers:
-    """``SdsrpPolicy.priorities`` (and the GBSD subclass) must equal the
-    per-message ``priority`` calls on buffers produced by an actual run —
-    real spray lineages, real drop histories, real TTLs."""
-
-    @pytest.mark.parametrize("policy", ["sdsrp", "gbsd"])
-    def test_batch_equals_scalar_on_run_state(self, policy):
-        built = build_scenario(tiny_config(
-            router="snw", policy=policy, engine_backend="vector"
-        ))
-        run_built(built)
-        now = built.sim.now
-        checked = 0
-        for node in built.nodes:
-            messages = list(node.buffer)
-            if not messages:
-                continue
-            pol = node.router.policy
-            assert pol.batchable
-            batch = pol.priorities(messages, now)
-            scalar = [pol.priority(m, now) for m in messages]
-            assert batch == scalar  # exact float equality
-            assert pol.send_priorities(messages, now) == [
-                pol.send_priority(m, now) for m in messages
-            ]
-            assert pol.drop_priorities(messages, now) == [
-                pol.drop_priority(m, now) for m in messages
-            ]
-            checked += len(messages)
-        assert checked > 0, "no node ended the run with a non-empty buffer"

@@ -8,6 +8,7 @@ import pytest
 
 import repro.experiments.figures as F
 from repro.experiments.cli import build_parser, main
+from repro.experiments.scenario import ENGINE_BACKENDS
 
 
 @pytest.fixture(autouse=True)
@@ -22,6 +23,15 @@ def micro_reduction(monkeypatch):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_engine_choices_are_the_registered_backends(capsys):
+    parser = build_parser()
+    for backend in ENGINE_BACKENDS:
+        assert parser.parse_args(["run", "--engine", backend]).engine == backend
+    with pytest.raises(SystemExit):
+        parser.parse_args(["run", "--engine", "vector"])
+    assert "invalid choice: 'vector'" in capsys.readouterr().err
 
 
 def test_run_command(capsys):

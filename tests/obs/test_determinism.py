@@ -17,6 +17,8 @@ import json
 import os
 from pathlib import Path
 
+import repro.world.contacts as contacts
+from repro.chaos.runner import stable_summary
 from repro.experiments.runner import build_scenario, run_built
 from repro.experiments.scenario import ScenarioConfig
 from repro.parallel.pool import parallel_map
@@ -93,6 +95,30 @@ class TestReplayDeterminism:
         for config, s_run, p_run in zip(configs, serial, parallel):
             assert_identical(f"seed{config.seed}-serial-vs-parallel",
                              [s_run, p_run])
+
+    def test_tree_contact_branch_matches(self, monkeypatch):
+        """``contact_pairs``' cKDTree candidate branch, forced on for this
+        10-node fleet, replays the upper-triangle run's trace, time series
+        and summary byte for byte."""
+        config = tiny_config(obs_interval=60.0, trace_capacity=CAPACITY)
+
+        def run() -> tuple[tuple[str, str], str]:
+            built = build_scenario(config)
+            summary = stable_summary(run_built(built))
+            assert built.trace is not None and built.timeseries is not None
+            timeseries = json.dumps(built.timeseries.as_dict(), sort_keys=True)
+            return (
+                (built.trace.to_jsonl(), timeseries),
+                json.dumps(summary, sort_keys=True),
+            )
+
+        assert config.n_nodes < contacts.TREE_MIN_NODES
+        triangle, triangle_summary = run()
+        monkeypatch.setattr(contacts, "TREE_MIN_NODES", 2)
+        tree, tree_summary = run()
+        assert triangle[0], "trace must not be empty"
+        assert_identical("tree-vs-triangle", [triangle, tree])
+        assert tree_summary == triangle_summary, "summary differs"
 
     def test_faulted_run_is_deterministic(self):
         """Fault injection (its own RNG stream) replays byte-identically."""

@@ -17,6 +17,7 @@ from repro.service.api import (
 )
 from repro.service.queue import SHED_DISPLACED
 from repro.service.store import DONE, FAILED, SHED
+from repro.snapshot.capture import encode_config
 from tests.service.test_supervisor import (
     FakeClock,
     config,
@@ -194,6 +195,39 @@ class TestExactlyOnce:
         job = revived.status(ticket.job_id)
         assert job.state == DONE
         assert runner.computes == {ticket.fingerprint: 1}
+
+    @pytest.mark.parametrize(
+        ("stale", "error_type", "named"),
+        [
+            ({"detector": "grid"}, "SnapshotError", "detector"),
+            ({"engine_backend": "vector"}, "ConfigurationError", "'vector'"),
+        ],
+        ids=["removed-field", "removed-backend"],
+    )
+    def test_undecodable_journaled_config_fails_only_its_job(
+        self, ctx, stale, error_type, named
+    ):
+        # A queued job journaled by an older build may hold a config this
+        # build no longer accepts.  It must fail on its own, not raise out
+        # of every restart's drain().
+        make, runner, _ = ctx
+        service = make()
+        payload = {**encode_config(config(seed=1)), **stale}
+        service.store.record_queued("job-stale", "fp-stale", config=payload)
+        healthy = service.submit(config(seed=2))
+        service.close()
+        revived = make()
+        assert revived.drain()
+        job = revived.status("job-stale")
+        assert job.state == FAILED
+        result = revived.result("job-stale")
+        assert isinstance(result, FailedRun)
+        assert result.error_type == error_type
+        assert named in result.error_message
+        assert revived.status(healthy.job_id).state == DONE
+        assert runner.computes == {healthy.fingerprint: 1}
+        revived.close()
+        assert make().drain()  # terminal now: the next restart is clean
 
 
 class TestOverload:
