@@ -10,7 +10,7 @@ replayed by ``tests/chaos/test_corpus_replay.py`` on every CI run, so a
 fixed bug that regresses is caught by the exact schedule that found it.
 
 File names are derived from the config fingerprint
-(:func:`repro.experiments.checkpoint.config_fingerprint`), so re-finding
+(:func:`repro.experiments.scenario.config_fingerprint`), so re-finding
 the same minimal case overwrites rather than duplicates.
 """
 
@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any
 
 from repro.chaos.oracles import OracleFailure
 from repro.chaos.runner import CaseResult, run_case
+from repro.durable import atomic_write
 from repro.errors import ObsFormatError
-from repro.experiments.checkpoint import config_fingerprint
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.scenario import ScenarioConfig, config_fingerprint
 from repro.snapshot.capture import encode_config
 from repro.snapshot.restore import decode_config
 
@@ -109,24 +108,8 @@ def write_entry(
     corpus_dir: str | os.PathLike[str], entry: dict[str, Any]
 ) -> Path:
     """Atomically write *entry* into *corpus_dir*; returns the file path."""
-    directory = Path(corpus_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = entry_path(directory, entry)
     payload = json.dumps(entry, indent=2, sort_keys=True) + "\n"
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(directory), prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
+    return atomic_write(entry_path(corpus_dir, entry), payload.encode("utf-8"))
 
 
 def load_entry(path: str | os.PathLike[str]) -> dict[str, Any]:

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.experiments.checkpoint import config_fingerprint
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.scenario import ScenarioConfig, config_fingerprint
 from repro.reports.summary import FailedRun, RunSummary
 from repro.rng import RngFactory, derive_seed
 from repro.service.api import ScenarioService

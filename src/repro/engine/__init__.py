@@ -11,14 +11,12 @@ simulator's semantics:
 Public API:
 
 * :class:`repro.engine.events.Event` / :class:`repro.engine.events.EventQueue`
-* :class:`repro.engine.clock.Clock`
 * :class:`repro.engine.simulator.Simulator`
 * :class:`repro.engine.hooks.ListenerRegistry`
 """
 
-from repro.engine.clock import Clock
 from repro.engine.events import Event, EventQueue
 from repro.engine.hooks import ListenerRegistry
 from repro.engine.simulator import Simulator
 
-__all__ = ["Clock", "Event", "EventQueue", "ListenerRegistry", "Simulator"]
+__all__ = ["Event", "EventQueue", "ListenerRegistry", "Simulator"]

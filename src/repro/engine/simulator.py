@@ -1,12 +1,13 @@
 """The simulation main loop.
 
-:class:`Simulator` owns the clock, the event queue and the listener registry.
-Components (the world, message generators, the transfer manager) register
-events against it.  The loop is a plain "pop next event, advance clock, fire"
-discrete-event loop; the ONE-style time-stepped behaviour comes from the
-world registering a recurring update event at :attr:`tick` intervals with
-:data:`~repro.engine.events.PRIORITY_WORLD` so movement/connectivity is
-refreshed before message logic at the same instant.
+:class:`Simulator` owns the current time, the event queue and the listener
+registry.  Components (the world, message generators, the transfer manager)
+register events against it.  The loop is a plain "pop next event, advance
+time, fire" discrete-event loop; the ONE-style time-stepped behaviour comes
+from the world registering a recurring update event at :attr:`tick`
+intervals with :data:`~repro.engine.events.PRIORITY_WORLD` so
+movement/connectivity is refreshed before message logic at the same
+instant.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ import os
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
-from repro.engine.clock import Clock
 from repro.engine.events import PRIORITY_NORMAL, Event, EventQueue
 from repro.engine.hooks import ListenerRegistry
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.profiler import PhaseProfiler
@@ -51,7 +51,7 @@ class _Recurring:
 
 
 class Simulator:
-    """Event loop with a shared clock and pub/sub registry.
+    """Event loop with a shared current time and pub/sub registry.
 
     Parameters
     ----------
@@ -75,7 +75,10 @@ class Simulator:
             env = os.environ.get("REPRO_SANITIZE", "").strip().lower()
             sanitize = env in ("1", "true", "yes")
         self.sanitize = bool(sanitize)
-        self.clock = Clock(0.0)
+        #: Current simulation time (seconds).  Only :meth:`run` advances it
+        #: (and :func:`repro.snapshot.restore` when it positions a rebuilt
+        #: run), so every component reads one source of truth.
+        self.now = 0.0
         self.queue = EventQueue()
         self.listeners = ListenerRegistry()
         #: Optional per-subsystem wall-time accounting (see
@@ -91,11 +94,6 @@ class Simulator:
     # -- scheduling -------------------------------------------------------
 
     @property
-    def now(self) -> float:
-        """Current simulation time (seconds)."""
-        return self.clock.now
-
-    @property
     def events_processed(self) -> int:
         """Number of events fired so far (diagnostics / benchmarks)."""
         return self._events_processed
@@ -108,9 +106,9 @@ class Simulator:
         priority: int = PRIORITY_NORMAL,
     ) -> Event:
         """Schedule an absolute-time event; must not be in the past."""
-        if time < self.clock.now:
+        if time < self.now:
             raise SchedulingError(
-                f"cannot schedule at {time} (now={self.clock.now})"
+                f"cannot schedule at {time} (now={self.now})"
             )
         return self.queue.schedule(time, callback, *args, priority=priority)
 
@@ -125,7 +123,7 @@ class Simulator:
         if delay < 0:
             raise SchedulingError(f"delay must be non-negative, got {delay}")
         return self.queue.schedule(
-            self.clock.now + delay, callback, *args, priority=priority
+            self.now + delay, callback, *args, priority=priority
         )
 
     def schedule_every(
@@ -146,7 +144,7 @@ class Simulator:
         """
         if interval <= 0:
             raise SchedulingError(f"interval must be positive, got {interval}")
-        first = self.clock.now if start is None else start
+        first = self.now if start is None else start
         rec = _Recurring(float(interval), callback, args, priority)
         if name is not None:
             self._recurring[name] = rec
@@ -155,7 +153,7 @@ class Simulator:
 
     def _fire_recurring(self, rec: _Recurring) -> None:
         rec.callback(*rec.args)
-        next_time = self.clock.now + rec.interval
+        next_time = self.now + rec.interval
         if next_time <= self.end_time:
             rec.next_time = next_time
             self.queue.schedule(
@@ -201,14 +199,18 @@ class Simulator:
                     break
                 event = self.queue.pop()
                 assert event is not None  # peek said non-empty
-                self.clock.advance_to(event.time)
+                if event.time < self.now:
+                    raise SimulationError(
+                        f"time cannot move backwards: {event.time} < {self.now}"
+                    )
+                self.now = event.time
                 self._events_processed += 1
                 event.callback(*event.args)
         finally:
             self._running = False
         # stop() freezes time where it is; a drained queue runs out the clock.
-        if not stopped and self.clock.now < horizon:
-            self.clock.advance_to(horizon)
+        if not stopped and self.now < horizon:
+            self.now = float(horizon)
 
     def stop(self) -> None:
         """Stop the loop after the currently firing event returns."""

@@ -12,7 +12,7 @@ scale parameter grids behind ``full=True`` and reduced-scale defaults that
 preserve the orderings (see DESIGN.md §4).
 """
 
-from repro.experiments.checkpoint import SweepCheckpoint, config_fingerprint
+from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.figures import (
     PAPER_POLICIES,
     FigureData,
@@ -35,6 +35,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenario import (
     ScenarioConfig,
+    config_fingerprint,
     epfl_scenario,
     random_waypoint_scenario,
     scale_scenario,

@@ -10,8 +10,9 @@ Design points:
 
 * the key is a hash of the *config contents* (not its position), so a
   resume is safe under grid edits — only unchanged points are reused;
-* lines are flushed + fsynced as written; a torn final line (the process
-  died mid-write) is detected and ignored on load;
+* lines are flushed + fsynced as written (:func:`repro.durable.append_line`);
+  a torn final line (the process died mid-write) is detected and ignored
+  on load;
 * failed items are recorded for reporting but never *reused*: a resume
   retries them, because the failure may have been environmental (OOM, a
   killed worker) rather than deterministic.
@@ -19,29 +20,19 @@ Design points:
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 import warnings
 from pathlib import Path
 from typing import Any, Union
 
-from repro.experiments.scenario import ScenarioConfig
+from repro.durable import append_line, read_lines
 from repro.reports.summary import FailedRun, RunSummary
 
 SweepResult = Union[RunSummary, FailedRun]
 
 _KIND_SUMMARY = "summary"
 _KIND_FAILED = "failed"
-
-
-def config_fingerprint(config: ScenarioConfig) -> str:
-    """Stable content hash of a scenario config (sweep checkpoint key)."""
-    payload = json.dumps(
-        dataclasses.asdict(config), sort_keys=True, default=str
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
 
 class SweepCheckpoint:
@@ -58,33 +49,28 @@ class SweepCheckpoint:
         #: pre-harvest-fix sweep that recomputed items after a pool
         #: rebuild).  Last write wins; the count makes it visible.
         self.duplicate_keys = 0
-        if self.path.exists():
-            self._load()
+        self._load()
 
     def _load(self) -> None:
         duplicates: set[str] = set()
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+        for line in read_lines(self.path):
+            try:
+                entry = json.loads(line)
+                kind = entry["kind"]
+                data = entry["data"]
+                key = entry["key"]
+                if kind == _KIND_SUMMARY:
+                    record = RunSummary.from_record(data)
+                elif kind == _KIND_FAILED:
+                    record = FailedRun.from_record(data)
+                else:
                     continue
-                try:
-                    entry = json.loads(line)
-                    kind = entry["kind"]
-                    data = entry["data"]
-                    key = entry["key"]
-                    if kind == _KIND_SUMMARY:
-                        record = RunSummary.from_record(data)
-                    elif kind == _KIND_FAILED:
-                        record = FailedRun.from_record(data)
-                    else:
-                        continue
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    continue  # torn final line from a mid-write crash
-                if key in self._records:
-                    self.duplicate_keys += 1
-                    duplicates.add(key)
-                self._records[key] = record
+            except (json.JSONDecodeError, KeyError, TypeError):
+                continue  # torn final line from a mid-write crash
+            if key in self._records:
+                self.duplicate_keys += 1
+                duplicates.add(key)
+            self._records[key] = record
         if duplicates:
             # One warning per load, not per line: a long retry history is
             # normal, but the operator should know the journal holds more
@@ -118,21 +104,6 @@ class SweepCheckpoint:
 
     # -- writes --------------------------------------------------------------
 
-    def _needs_newline(self) -> bool:
-        """True when the file exists and does not end in a newline.
-
-        A worker killed mid-write leaves a torn final line.  Appending a
-        fresh record directly after it would glue two JSON fragments onto
-        one line and lose *both*; prepending a newline first quarantines
-        the torn fragment on its own line, where ``_load`` skips it.
-        """
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                return fh.read(1) != b"\n"
-        except (FileNotFoundError, OSError):
-            return False  # missing or empty file: nothing to repair
-
     def record(self, key: str, result: SweepResult) -> None:
         """Append one finished item and force it to disk."""
         kind = _KIND_SUMMARY if isinstance(result, RunSummary) else _KIND_FAILED
@@ -142,8 +113,4 @@ class SweepCheckpoint:
             "data": result.record(),
         }
         self._records[key] = result
-        prefix = "\n" if self._needs_newline() else ""
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(prefix + json.dumps(entry, default=str) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_line(self.path, json.dumps(entry, default=str))

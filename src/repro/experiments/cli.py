@@ -23,7 +23,9 @@ from repro.errors import ConfigurationError, InvariantViolation
 from repro.experiments import figures as F
 from repro.experiments.runner import build_scenario, run_built
 from repro.experiments.scenario import (
+    ANALYTIC_BACKENDS,
     ENGINE_BACKENDS,
+    ScenarioConfig,
     epfl_scenario,
     random_waypoint_scenario,
 )
@@ -64,11 +66,14 @@ def _dump_json(path: str, payload: Any) -> None:
     print(f"wrote {path}")
 
 
-def _cmd_run_analytic(args: argparse.Namespace) -> int:
-    """The ``run --engine analytic|hybrid`` path: no simulator is built."""
-    from repro.analytic.runner import run_analytic
-    from repro.analytic.hybrid import hybrid_summary
+def _run_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario config the ``run`` flags describe, for any engine.
 
+    Every flag lands in the config, so out-of-envelope requests to the
+    analytic backends (--churn, --trace, --sanitize, --profile,
+    --snapshot-every) fail loudly in their validation instead of being
+    silently ignored.
+    """
     base = random_waypoint_scenario() if args.scenario == "rwp" else epfl_scenario()
     config = base.replace(
         policy=args.policy, seed=args.seed, initial_copies=args.copies,
@@ -76,15 +81,12 @@ def _cmd_run_analytic(args: argparse.Namespace) -> int:
     )
     if args.reduced:
         config = F.reduced(config)
-    # Plumb every simulator-path flag into the config so out-of-envelope
-    # requests (--churn, --trace, --sanitize, --profile, --snapshot-every)
-    # fail loudly in _validate_analytic instead of being silently ignored.
     if args.churn:
         duty = config.sim_time / 5.0
         config = config.replace(faults=FaultPlan(
             churn_fraction=args.churn, churn_off_time=duty, churn_on_time=duty
         ))
-    config = config.replace(
+    return config.replace(
         sanitize=args.sanitize,
         obs_interval=args.obs_interval if args.obs_out else 0.0,
         trace_capacity=args.trace_capacity if args.trace else 0,
@@ -92,6 +94,14 @@ def _cmd_run_analytic(args: argparse.Namespace) -> int:
         snapshot_every=args.snapshot_every,
         snapshot_to=args.snapshot_to,
     )
+
+
+def _cmd_run_analytic(args: argparse.Namespace) -> int:
+    """The ``run --engine analytic|hybrid`` path: no simulator is built."""
+    from repro.analytic.runner import run_analytic
+    from repro.analytic.hybrid import hybrid_summary
+
+    config = _run_config(args)
     if args.from_snapshot:
         raise ConfigurationError(
             f"the {args.engine!r} backend has no simulator state; "
@@ -116,27 +126,9 @@ def _cmd_run_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.engine in ("analytic", "hybrid"):
+    if args.engine in ANALYTIC_BACKENDS:
         return _cmd_run_analytic(args)
-    base = random_waypoint_scenario() if args.scenario == "rwp" else epfl_scenario()
-    config = base.replace(
-        policy=args.policy, seed=args.seed, initial_copies=args.copies,
-        sanitize=args.sanitize, engine_backend=args.engine,
-    )
-    if args.reduced:
-        config = F.reduced(config)
-    if args.churn:
-        duty = config.sim_time / 5.0
-        config = config.replace(faults=FaultPlan(
-            churn_fraction=args.churn, churn_off_time=duty, churn_on_time=duty
-        ))
-    config = config.replace(
-        obs_interval=args.obs_interval if args.obs_out else 0.0,
-        trace_capacity=args.trace_capacity if args.trace else 0,
-        profile=args.profile,
-        snapshot_every=args.snapshot_every,
-        snapshot_to=args.snapshot_to,
-    )
+    config = _run_config(args)
     if args.from_snapshot:
         from repro.snapshot import read_snapshot, restore
 

@@ -375,6 +375,25 @@ def _try_resume(config: ScenarioConfig) -> BuiltSimulation | None:
         return None
 
 
+def with_rolling_snapshot(
+    config: ScenarioConfig, directory: Path, fingerprint: str
+) -> ScenarioConfig:
+    """*config* with its rolling snapshot file placed in *directory*.
+
+    Mid-run resume for killed workers: a config that snapshots
+    (``snapshot_every`` > 0) but names no file rolls one at
+    ``<directory>/<fingerprint>.snap.gz``; :func:`run_scenario_safe` resumes
+    from it when valid and removes it on success.  Any other config is
+    returned unchanged.  The file is execution plumbing: callers take the
+    fingerprint (their checkpoint or cache key) before this replace.
+    """
+    if config.snapshot_every > 0 and config.snapshot_to is None:
+        return config.replace(
+            snapshot_to=str(directory / f"{fingerprint}.snap.gz")
+        )
+    return config
+
+
 def run_scenario_safe(config: ScenarioConfig) -> RunSummary | FailedRun:
     """:func:`run_scenario`, but failures become :class:`FailedRun` records.
 

@@ -9,6 +9,8 @@ keep node density and congestion level, hence the metric *orderings*.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -200,6 +202,18 @@ class ScenarioConfig:
     def replace(self, **changes: Any) -> "ScenarioConfig":
         """A copy with *changes* applied (dataclasses.replace wrapper)."""
         return dataclasses.replace(self, **changes)
+
+
+def config_fingerprint(config: ScenarioConfig) -> str:
+    """Stable content hash of a scenario config.
+
+    The key of sweep checkpoints, the service's result cache and chaos
+    corpus file names.
+    """
+    payload = json.dumps(
+        dataclasses.asdict(config), sort_keys=True, default=str
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
 
 def random_waypoint_scenario(**overrides: Any) -> ScenarioConfig:

@@ -18,13 +18,13 @@ import math
 import time
 from collections.abc import Sequence
 
-from repro.experiments.checkpoint import (
-    SweepCheckpoint,
-    SweepResult,
-    config_fingerprint,
+from repro.experiments.checkpoint import SweepCheckpoint, SweepResult
+from repro.experiments.runner import (
+    run_scenario,
+    run_scenario_safe,
+    with_rolling_snapshot,
 )
-from repro.experiments.runner import run_scenario, run_scenario_safe
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.scenario import ScenarioConfig, config_fingerprint
 from repro.parallel.pool import parallel_map
 from repro.reports.summary import FailedRun, RunSummary
 from repro.rng import RngFactory, derive_seed
@@ -160,22 +160,15 @@ def _run_resilient(
                 # Fresh derived seed per retry: a crash tied to one seed's
                 # event sequence must not fail the grid point forever.
                 cfg = cfg.replace(seed=derive_seed(cfg.seed, "retry", attempt))
-            if (
-                checkpoint is not None
-                and cfg.snapshot_every > 0
-                and cfg.snapshot_to is None
-            ):
-                # Mid-run resume for killed workers: each grid point rolls
-                # its own snapshot file next to the sweep checkpoint, keyed
-                # by config fingerprint.  run_scenario_safe resumes from it
-                # when present and removes it on success.  A retry changes
-                # the seed, so a stale snapshot from the crashed attempt
-                # fails the config match and is rebuilt from scratch.
-                snap_dir = checkpoint.path.parent / (
-                    checkpoint.path.name + ".snap"
-                )
-                cfg = cfg.replace(
-                    snapshot_to=str(snap_dir / f"{keys[i]}.snap.gz")
+            if checkpoint is not None:
+                # Each grid point rolls its snapshot next to the sweep
+                # checkpoint.  A retry changes the seed, so a stale snapshot
+                # from the crashed attempt fails the config match and is
+                # rebuilt from scratch.
+                cfg = with_rolling_snapshot(
+                    cfg,
+                    checkpoint.path.parent / (checkpoint.path.name + ".snap"),
+                    keys[i],
                 )
             batch.append(cfg)
 

@@ -16,13 +16,9 @@ Models:
   movement (regular time grid, vectorized interpolation).
 * :class:`repro.mobility.taxi.TaxiFleet` — synthetic San-Francisco-taxi-like
   mobility standing in for the EPFL/CRAWDAD trace (see DESIGN.md §1).
-* :class:`repro.mobility.map_based.MapBasedMobility` — ONE-style movement
-  constrained to a street graph (networkx), with :func:`grid_map` to build
-  jittered Manhattan grids.
 """
 
 from repro.mobility.base import MobilityModel, WaypointEngine
-from repro.mobility.map_based import MapBasedMobility, grid_map
 from repro.mobility.random_direction import RandomDirection
 from repro.mobility.random_walk import RandomWalk
 from repro.mobility.random_waypoint import RandomWaypoint
@@ -31,7 +27,6 @@ from repro.mobility.taxi import TaxiFleet
 from repro.mobility.trace import TraceMobility
 
 __all__ = [
-    "MapBasedMobility",
     "MobilityModel",
     "RandomDirection",
     "RandomWalk",
@@ -40,5 +35,4 @@ __all__ = [
     "TaxiFleet",
     "TraceMobility",
     "WaypointEngine",
-    "grid_map",
 ]

@@ -36,8 +36,8 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.checkpoint import config_fingerprint
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.runner import with_rolling_snapshot
+from repro.experiments.scenario import ScenarioConfig, config_fingerprint
 from repro.reports.summary import FailedRun, RunSummary
 from repro.service.cache import ResultCache
 from repro.service.queue import SHED_DISPLACED, AdmissionQueue
@@ -297,18 +297,9 @@ class ScenarioService:
                 # since removed): fail this job, not every restart.
                 self._fail_undispatchable(job, type(exc).__name__, str(exc))
                 continue
-            if config.snapshot_every > 0 and config.snapshot_to is None:
-                # Mid-run resume for long jobs, the sweep engine's idiom:
-                # the job rolls a snapshot keyed by its fingerprint under
-                # the service root; run_scenario_safe resumes from a valid
-                # one and removes it on success.  snapshot_to is execution
-                # plumbing — the submit-time fingerprint (the cache key)
-                # was taken before this mutation, like the sweep's.
-                config = config.replace(
-                    snapshot_to=str(
-                        self.root / "snap" / f"{job.fingerprint}.snap.gz"
-                    )
-                )
+            config = with_rolling_snapshot(
+                config, self.root / "snap", job.fingerprint
+            )
             self.store.record_running(job_id, attempts=job.attempts + 1)
             self.supervisor.submit(job_id, config, attempts=job.attempts)
 

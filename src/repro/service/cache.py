@@ -1,7 +1,7 @@
 """Fingerprint-keyed result cache for the scenario service.
 
 Soundness argument (docs/service.md): the cache key is
-:func:`repro.experiments.checkpoint.config_fingerprint` — a content hash of
+:func:`repro.experiments.scenario.config_fingerprint` — a content hash of
 the *entire* scenario config, seed included — and the simulator is
 bit-reproducible given a config (the determinism suite's core guarantee).
 Same fingerprint therefore implies same result bytes, so serving a hit is
@@ -10,8 +10,8 @@ computed from the byte-exact submitted config (retries reuse the same
 config; they never mutate the seed), which is what keeps the implication
 true.
 
-Entries are one gzip-JSON file per fingerprint, written atomically
-(tmp + fsync + ``os.replace``, the snapshot-codec idiom) and carrying a
+Entries are one gzip-JSON file per fingerprint, written atomically by
+:func:`repro.durable.atomic_write` (as snapshots are) and carrying a
 SHA-256 checksum over the canonical summary JSON.  A corrupt or truncated
 entry — a crashed write the atomic rename should prevent, or a chaos
 campaign flipping bytes — fails validation and is treated as a miss and
@@ -28,6 +28,7 @@ import zlib
 from pathlib import Path
 from typing import Any
 
+from repro.durable import atomic_write
 from repro.reports.summary import RunSummary
 from repro.snapshot.codec import canonical_json
 
@@ -102,7 +103,6 @@ class ResultCache:
         produce byte-identical files — the chaos campaign's byte-stability
         oracle compares exactly these bytes.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
         record = summary.record()
         payload = {
             "magic": _MAGIC,
@@ -114,14 +114,7 @@ class ResultCache:
         blob = gzip.compress(
             canonical_json(payload).encode("utf-8"), mtime=0
         )
-        path = self.path_for(fingerprint)
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("wb") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        return path
+        return atomic_write(self.path_for(fingerprint), blob)
 
     def get_bytes(self, fingerprint: str) -> bytes | None:
         """Raw entry bytes (byte-identity assertions in tests/oracles)."""

@@ -1,9 +1,10 @@
 """Append-only job journal for the scenario service.
 
 Every job-state transition is one JSONL line, flushed and fsynced as
-written, so a SIGKILL at any instant loses at most the line being written.
-The journal is the service's *only* authoritative state: restarting a
-killed service replays the file (torn final line tolerated, exactly like
+written by :func:`repro.durable.append_line`, so a SIGKILL at any instant
+loses at most the line being written.  The journal is the service's *only*
+authoritative state: restarting a killed service replays the file (torn
+final line tolerated, exactly like
 :class:`repro.experiments.checkpoint.SweepCheckpoint`) and resumes where it
 died — jobs recorded ``running`` at the crash are put back in the queue,
 terminal jobs stay terminal, and nothing accepted is ever forgotten.
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
+from repro.durable import append_line, read_lines
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -105,26 +107,20 @@ class JobStore:
         #: Count of journal lines skipped on load (torn tail, corruption).
         self.skipped_lines = 0
         self._max_seq = -1
-        if self.path.exists():
-            self._load()
+        self._load()
 
     # -- replay ------------------------------------------------------------
 
     def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    self._fold(entry)
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    # Torn final line from a mid-write crash, or bytes a
-                    # chaos campaign truncated/garbled.  The line before it
-                    # was fsynced, so skipping loses at most one transition
-                    # — which replays as a requeue, never a lost job.
-                    self.skipped_lines += 1
+        for line in read_lines(self.path):
+            try:
+                self._fold(json.loads(line))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                # Torn final line from a mid-write crash, or bytes a chaos
+                # campaign truncated/garbled.  The line before it was
+                # fsynced, so skipping loses at most one transition —
+                # which replays as a requeue, never a lost job.
+                self.skipped_lines += 1
 
     def _fold(self, entry: dict[str, Any]) -> None:
         job_id = entry["job"]
@@ -203,27 +199,8 @@ class JobStore:
 
     # -- writes ------------------------------------------------------------
 
-    def _needs_newline(self) -> bool:
-        """True when the journal exists and does not end in a newline.
-
-        Same torn-tail repair as the sweep checkpoint: prepending a newline
-        quarantines a half-written fragment on its own line, where
-        :meth:`_load` skips it, instead of gluing two records together.
-        """
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                return fh.read(1) != b"\n"
-        except (FileNotFoundError, OSError):
-            return False
-
     def _append(self, entry: dict[str, Any]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        prefix = "\n" if self._needs_newline() else ""
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(prefix + json.dumps(entry, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_line(self.path, json.dumps(entry, sort_keys=True))
         self._fold(entry)
 
     def record_queued(

@@ -13,9 +13,9 @@ Design constraints:
   encoder (shortest-repr), and non-finite values (``NaN`` for exhausted
   recurring chains, ``-Infinity`` for unset record times) use the JSON
   extension literals, which :func:`json.loads` accepts by default.
-* **Atomic writes.**  Files are written to a temporary sibling and
-  ``os.replace``-d into place, so a crash mid-write never leaves a torn
-  snapshot where a resumable one used to be.
+* **Atomic writes.**  Files are written through
+  :func:`repro.durable.atomic_write`, so a crash mid-write never leaves a
+  torn snapshot where a resumable one used to be.
 * **Integrity.**  :func:`read_snapshot` refuses unknown schema versions and
   payloads whose checksum does not match, raising
   :class:`~repro.errors.SnapshotError`.
@@ -27,13 +27,13 @@ import base64
 import gzip
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from repro.durable import atomic_write
 from repro.errors import SnapshotError
 
 __all__ = [
@@ -131,12 +131,9 @@ def make_snapshot(config: dict[str, Any], state: dict[str, Any]) -> Snapshot:
 def write_snapshot(snapshot: Snapshot, path: str | Path) -> Path:
     """Write *snapshot* to *path* (gzip JSON), atomically.
 
-    Parent directories are created as needed.  The document is staged in a
-    temporary sibling file, fsync-ed, then renamed over the target, so
-    readers only ever observe complete snapshots.
+    Parent directories are created as needed, and readers only ever
+    observe complete snapshots (:func:`repro.durable.atomic_write`).
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "magic": _MAGIC,
         "version": snapshot.version,
@@ -145,13 +142,7 @@ def write_snapshot(snapshot: Snapshot, path: str | Path) -> Path:
         "state": snapshot.state,
     }
     blob = gzip.compress(json.dumps(payload).encode("utf-8"))
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
+    return atomic_write(path, blob)
 
 
 def read_snapshot(path: str | Path) -> Snapshot:

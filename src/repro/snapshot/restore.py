@@ -122,8 +122,7 @@ def restore(
     # Drop the bootstrap events scheduled by build_scenario; everything is
     # re-armed from captured cursors below.
     sim.queue.clear()
-    if t > sim.clock.now:
-        sim.clock.advance_to(t)
+    sim.now = t
     sim._events_processed = int(state["events_processed"])
 
     if not skip_rng and state["rng"] is not None:

@@ -11,8 +11,8 @@ import pytest
 from repro.analytic.runner import run_analytic
 from repro.chaos.oracles import check_summary
 from repro.chaos.runner import stable_summary
-from repro.experiments.checkpoint import config_fingerprint
 from repro.experiments.runner import run_scenario
+from repro.experiments.scenario import config_fingerprint
 from repro.obs.timeseries import TimeSeriesCollector, read_timeseries_json
 from repro.reports.summary import RunSummary
 from repro.service.api import STATUS_DONE, STATUS_QUEUED, ScenarioService

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.chaos.corpus import (
 )
 from repro.chaos.oracles import ORACLE_INVARIANT, OracleFailure
 from repro.errors import ObsFormatError
-from repro.experiments.checkpoint import config_fingerprint
+from repro.experiments.scenario import config_fingerprint
 from repro.snapshot.restore import decode_config
 from tests.chaos.conftest import tiny_case
 
@@ -67,6 +68,32 @@ class TestWriteLoad:
         path = write_entry(tmp_path, e)
         assert load_entry(path) == json.loads(json.dumps(e))
         assert not list(tmp_path.glob("*.tmp")), "staging file left behind"
+
+    @pytest.mark.parametrize("fails", ["fsync", "replace"])
+    def test_failed_write_keeps_the_old_entry_and_no_staging(
+        self, tmp_path, monkeypatch, fails
+    ):
+        path = write_entry(tmp_path, entry(iteration=1))
+        before = path.read_text(encoding="utf-8")
+
+        def boom(*_args):
+            raise OSError("injected")
+
+        monkeypatch.setattr(os, fails, boom)
+        with pytest.raises(OSError, match="injected"):
+            write_entry(tmp_path, entry(iteration=2))
+        monkeypatch.undo()
+        assert path.read_text(encoding="utf-8") == before
+        assert not list(tmp_path.glob("*.tmp")), "staging file left behind"
+
+    def test_write_is_fsynced(self, tmp_path, monkeypatch):
+        synced = []
+        real = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (synced.append(fd), real(fd))
+        )
+        write_entry(tmp_path, entry())
+        assert synced, "corpus entry was not fsynced before the rename"
 
     def test_same_minimal_case_overwrites(self, tmp_path):
         write_entry(tmp_path, entry(iteration=1))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.simulator import Simulator
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, SimulationError
 
 
 class TestScheduling:
@@ -45,6 +45,28 @@ class TestScheduling:
         sim.run()
         assert fired == []
         assert sim.now == 10.0
+
+
+class TestTime:
+    def test_starts_at_zero(self):
+        assert Simulator(end_time=10.0).now == 0.0
+
+    def test_same_time_event_is_allowed(self):
+        sim = Simulator(end_time=100.0)
+        fired = []
+        sim.schedule_at(10.0, lambda: sim.schedule_at(10.0, lambda: fired.append(sim.now)))
+        sim.run(until=10.0)
+        assert fired == [10.0]
+        assert sim.now == 10.0
+
+    def test_backwards_event_raises(self):
+        # schedule_at refuses the past, so plant the event in the queue
+        # directly: run() itself must refuse to move time backwards.
+        sim = Simulator(end_time=100.0)
+        sim.run(until=5.0)
+        sim.queue.schedule(4.999, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run()
 
 
 class TestRecurring:

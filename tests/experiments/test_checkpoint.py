@@ -7,9 +7,13 @@ import math
 
 import pytest
 
-from repro.experiments.checkpoint import SweepCheckpoint, config_fingerprint
+from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import random_waypoint_scenario, scale_scenario
+from repro.experiments.scenario import (
+    config_fingerprint,
+    random_waypoint_scenario,
+    scale_scenario,
+)
 from repro.experiments.sweep import run_many
 from repro.reports.summary import FailedRun, RunSummary
 

@@ -17,7 +17,6 @@ import math
 import pytest
 
 from repro.engine.events import PRIORITY_SNAPSHOT
-from repro.experiments.checkpoint import config_fingerprint
 from repro.experiments.runner import (
     _try_resume,
     build_scenario,
@@ -27,6 +26,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenario import (
     ScenarioConfig,
+    config_fingerprint,
     epfl_scenario,
     scale_scenario,
 )

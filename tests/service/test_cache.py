@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
+
+import pytest
 
 from repro.service.cache import CACHE_SCHEMA, ResultCache
 from tests.service.test_supervisor import fake_summary
@@ -35,6 +38,25 @@ def test_rewrites_are_byte_identical(tmp_path):
     a.put("fp1", fake_summary(seed=3))
     b.put("fp1", fake_summary(seed=3))
     assert a.get_bytes("fp1") == b.get_bytes("fp1")
+
+
+@pytest.mark.parametrize("fails", ["fsync", "replace"])
+def test_failed_put_keeps_the_old_entry_and_no_staging(
+    tmp_path, monkeypatch, fails
+):
+    cache = ResultCache(tmp_path)
+    cache.put("fp1", fake_summary(seed=3))
+    before = cache.get_bytes("fp1")
+
+    def boom(*_args):
+        raise OSError("injected")
+
+    monkeypatch.setattr(os, fails, boom)
+    with pytest.raises(OSError, match="injected"):
+        cache.put("fp1", fake_summary(seed=4))
+    monkeypatch.undo()
+    assert cache.get_bytes("fp1") == before
+    assert not list(tmp_path.glob("*.tmp")), "staging file left behind"
 
 
 def test_corrupt_mid_stream_byte_is_dropped_not_served(tmp_path):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.checkpoint import config_fingerprint
+from repro.experiments.scenario import config_fingerprint
 from repro.reports.summary import FailedRun, RunSummary
 from repro.service.api import (
     STATUS_COALESCED,

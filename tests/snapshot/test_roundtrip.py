@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
 
 import pytest
 
@@ -80,6 +81,24 @@ class TestCodec:
         assert loaded.checksum == snap.checksum
         assert canonical_json(loaded.state) == canonical_json(snap.state)
         assert decode_config(loaded.config) == decode_config(snap.config)
+        assert not list(tmp_path.glob("*.tmp")), "staging file left behind"
+
+    @pytest.mark.parametrize("fails", ["fsync", "replace"])
+    def test_failed_write_keeps_the_old_file_and_no_staging(
+        self, tmp_path, monkeypatch, fails
+    ):
+        snap = self.snap()
+        path = write_snapshot(snap, tmp_path / "s.snap.gz")
+        before = path.read_bytes()
+
+        def boom(*_args):
+            raise OSError("injected")
+
+        monkeypatch.setattr(os, fails, boom)
+        with pytest.raises(OSError, match="injected"):
+            write_snapshot(snap, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp")), "staging file left behind"
 
     def test_missing_file_raises(self, tmp_path):

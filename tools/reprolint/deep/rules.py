@@ -785,7 +785,8 @@ can explain how restore reconstructs the value byte-identically.
         for name in called:
             for candidate in project.method_candidates(name):
                 covered |= engine.summary(candidate).reads
-        # Property expansion to fixpoint: reading `sim.now` covers Clock._now.
+        # Property expansion to fixpoint: reading `sim.events_processed`
+        # covers Simulator._events_processed.
         for _ in range(4):
             grew = False
             for name in list(covered):
