@@ -32,9 +32,12 @@ lint-deep:
 
 # Dynamic layer: reduced paper scenarios with every runtime invariant
 # checked each tick (buffer accounting, pins, TTL, spray-token budget,
-# single commit). Serial on purpose: a violation must point at one run.
+# single commit, TTL purge, send schedule). The churn run drives the
+# node-down and buffer-wipe paths. Serial on purpose: a violation must
+# point at one run.
 sanitize-smoke:
 	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m repro.experiments run --scenario rwp --policy sdsrp --reduced
+	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m repro.experiments run --scenario rwp --policy sdsrp --reduced --churn 0.2
 	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m repro.experiments fig8 --axis copies --policies sdsrp --workers 1
 
 # Observability layer (docs/observability.md): one reduced run with the

@@ -18,13 +18,25 @@ tick:
   splits conserve tokens; drops only destroy them);
 * **single commit** — the two-phase transfer protocol commits each
   transfer's token halving at most once (``transfer.commit`` with a repeated
-  :attr:`~repro.net.transfer.Transfer.seq` is a protocol bug).
+  :attr:`~repro.net.transfer.Transfer.seq` is a protocol bug);
+* **TTL purge** — after the tick's purge no node holds an expired, unpinned
+  copy (the expiry index missed no node);
+* **send schedule** — after the tick's send drain, every idle node with
+  neighbours that the drain did not scan has nothing to send (the dirty set
+  missed no eligibility change).  This is the full scan the world no longer
+  runs; routers with time-dependent eligibility are scanned every tick and
+  skipped here.
+
+The checks only read state (the send-schedule oracle calls the side-effect
+free ``Router._select_next_inner``), so a sanitized run stays byte-identical
+to an unsanitized one.
 
 Violations raise :class:`~repro.errors.InvariantViolation` naming the
 invariant, the node, the message and the simulation time, so a corrupted run
 dies at the first bad tick instead of producing silently skewed figures.
 
-Checks are O(total buffered messages) per tick — cheap enough for CI smoke
+Checks are O(total buffered messages) per tick, plus one full send scan per
+idle, unscanned node with neighbours — cheap enough for CI smoke
 runs (``make sanitize-smoke``), too slow for large sweeps; enable explicitly
 via ``Simulator(sanitize=True)``, ``ScenarioConfig(sanitize=True)``,
 ``repro-exp run --sanitize`` or ``REPRO_SANITIZE=1``.
@@ -79,6 +91,7 @@ class Sanitizer:
     def subscribe(self, sim: Simulator) -> None:
         """Attach to *sim*'s listener registry."""
         sim.listeners.subscribe("world.updated", self.check_tick)
+        sim.listeners.subscribe("world.drained", self.check_drain)
         sim.listeners.subscribe("transfer.commit", self.on_commit)
 
     # -- event handlers ----------------------------------------------------
@@ -137,6 +150,18 @@ class Sanitizer:
                     )
 
             for m in stored:
+                if (
+                    node.router is not None
+                    and m.is_expired(now)
+                    and not buf.is_pinned(m.msg_id)
+                ):
+                    raise InvariantViolation(
+                        "ttl-purge",
+                        "expired, unpinned copy survived the tick's purge",
+                        node_id=node.id,
+                        msg_id=m.msg_id,
+                        time=now,
+                    )
                 key = (node.id, m.msg_id)
                 live_keys.add(key)
                 remaining = m.remaining_ttl(now)
@@ -162,6 +187,33 @@ class Sanitizer:
             self._check_copy_conservation(copy_sums, initial, now)
 
         self.ticks_checked += 1
+
+    def check_drain(self, now: float, scanned: list[int]) -> None:
+        """No idle node the send drain skipped could have started a transfer."""
+        visited = set(scanned)
+        for node in self.nodes:
+            router = node.router
+            if (
+                router is None
+                or router.transfer_manager is None
+                or router.time_dependent_eligibility
+                or node.sending
+                or not node.neighbors
+                or node.id in visited
+            ):
+                continue
+            choice = router._select_next_inner()
+            if choice is not None:
+                peer, message, mode = choice
+                raise InvariantViolation(
+                    "send-schedule",
+                    f"idle node was not scanned but could send ({mode}) to "
+                    f"node {peer.id}: a change to its eligibility was not "
+                    "reported to the world",
+                    node_id=node.id,
+                    msg_id=message.msg_id,
+                    time=now,
+                )
 
     def _check_copy_conservation(
         self, copy_sums: dict[str, int], initial: dict[str, int], now: float

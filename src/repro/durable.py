@@ -13,8 +13,10 @@ protocols:
   is fsynced and renamed over the target, so a reader sees the old file or
   the new one, never a torn mix.  A failed write removes the staging file.
 
-:func:`read_lines` is the reading half of the log protocol.  Callers keep
-their own serialization and decide for themselves which lines to skip.
+:func:`read_lines` is the reading half of the log protocol.  It yields raw
+bytes: callers keep their own serialization, decode each line themselves
+and skip (and count) a line that does not decode, exactly like a torn one,
+so one garbled byte cannot stop a journal from loading.
 """
 
 from __future__ import annotations
@@ -67,10 +69,11 @@ def append_line(path: str | os.PathLike[str], text: str) -> None:
         os.fsync(fh.fileno())
 
 
-def read_lines(path: str | os.PathLike[str]) -> Iterator[str]:
-    """Yield the stripped, non-empty lines of *path*; nothing if missing."""
+def read_lines(path: str | os.PathLike[str]) -> Iterator[bytes]:
+    """Yield the stripped, non-empty lines of *path* as bytes; nothing if
+    missing."""
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except FileNotFoundError:
         return
     with fh:

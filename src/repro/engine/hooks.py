@@ -16,7 +16,8 @@ library:
 ``transfer.aborted``     (transfer)
 ``link.up``              (node_a, node_b)
 ``link.down``            (node_a, node_b)
-``world.updated``        (time)
+``world.updated``        (time)                 — after the tick's TTL purge
+``world.drained``        (time, scanned_ids)    — after the tick's send drain
 ``fault.injected``       (kind, time)
 
 Listeners fire in registration order; exceptions propagate (a broken listener

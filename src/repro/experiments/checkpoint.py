@@ -55,7 +55,7 @@ class SweepCheckpoint:
         duplicates: set[str] = set()
         for line in read_lines(self.path):
             try:
-                entry = json.loads(line)
+                entry = json.loads(line.decode("utf-8"))
                 kind = entry["kind"]
                 data = entry["data"]
                 key = entry["key"]
@@ -65,8 +65,8 @@ class SweepCheckpoint:
                     record = FailedRun.from_record(data)
                 else:
                     continue
-            except (json.JSONDecodeError, KeyError, TypeError):
-                continue  # torn final line from a mid-write crash
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
+                continue  # torn final line from a mid-write crash, or garbled bytes
             if key in self._records:
                 self.duplicate_keys += 1
                 duplicates.add(key)

@@ -5,11 +5,16 @@ space runs out is the buffer policy's job (see :mod:`repro.policies`).  It
 preserves insertion order so FIFO-style policies can rank without extra
 bookkeeping, and tracks "pinned" messages (currently being transmitted) that
 must not be dropped mid-transfer.
+
+Every add and remove is reported to the buffer's owner node, which tells its
+world (the TTL expiry index and the dirty set of senders, see
+:mod:`repro.world.activity`) — direct buffer edits included.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 from repro.errors import (
     DuplicateMessageError,
@@ -17,6 +22,9 @@ from repro.errors import (
     ReproBufferError,
 )
 from repro.net.message import Message
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.world.node import Node
 
 
 class MessageBuffer:
@@ -26,15 +34,18 @@ class MessageBuffer:
     ----------
     capacity:
         Capacity in bytes. Must be positive.
+    owner:
+        The node holding the buffer; told of every add and remove.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, owner: Node | None = None) -> None:
         if capacity <= 0:
             raise ReproBufferError(f"buffer capacity must be positive: {capacity}")
         self.capacity = int(capacity)
         self._messages: dict[str, Message] = {}  # insertion-ordered
         self._used = 0
         self._pins: dict[str, int] = {}
+        self.owner = owner
 
     # -- capacity ----------------------------------------------------------
 
@@ -101,6 +112,8 @@ class MessageBuffer:
             )
         self._messages[message.msg_id] = message
         self._used += message.size
+        if self.owner is not None:
+            self.owner.buffer_added(message)
 
     def remove(self, msg_id: str) -> Message:
         """Remove and return the copy for *msg_id*.
@@ -113,7 +126,17 @@ class MessageBuffer:
         if message is None:
             raise MessageNotFoundError(msg_id)
         self._used -= message.size
+        if self.owner is not None:
+            self.owner.touch()
         return message
+
+    def clear(self) -> None:
+        """Empty the buffer, pins included (snapshot restore refills it)."""
+        self._messages.clear()
+        self._pins.clear()
+        self._used = 0
+        if self.owner is not None:
+            self.owner.touch()
 
     # -- pinning (active transfers) -----------------------------------------
 

@@ -154,6 +154,11 @@ class TransferManager:
         self._active.pop(transfer.sender.id, None)
         transfer.sender.sending = False
         transfer.sender.buffer.unpin(transfer.message.msg_id)
+        # Both ends may have something new to send: the sender's interface
+        # is idle, and the completion path edits tokens, delivered ids and
+        # drop records on both sides.
+        transfer.sender.touch()
+        transfer.receiver.touch()
 
     def _complete(self, transfer: Transfer) -> None:
         # Profiling hook: completion runs the whole receive path (policy

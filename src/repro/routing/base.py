@@ -64,6 +64,13 @@ class Router:
     #: for the paper comparison; the flag is an ablation axis.
     deliverable_first = False
 
+    #: True when which messages this router may send changes with time
+    #: alone (an aging predictability table, encounter timers), with no
+    #: buffer, link or transfer event to announce it.  The world then
+    #: scans the node every tick instead of only when it was touched (see
+    #: :mod:`repro.world.activity`).  A property of the protocol.
+    time_dependent_eligibility = False
+
     def __init__(self, node: Node, policy: BufferPolicy) -> None:
         self.node = node
         self.policy = policy
@@ -118,7 +125,8 @@ class Router:
 
     def will_accept(self, message: Message, sender: Node) -> bool:
         """Cheap pre-checks used during selection AND re-checked on arrival."""
-        if message.is_expired(self.now):
+        now = self.now
+        if message.is_expired(now):
             return False
         if message.destination == self.node.id:
             return message.msg_id not in self.delivered_ids
@@ -126,7 +134,7 @@ class Router:
             return False
         if not self.node.buffer.could_ever_fit(message):
             return False
-        return self.policy.will_accept(message, self.now)
+        return self.policy.will_accept(message, now)
 
     def receive(self, message: Message, sender: Node) -> ReceiveOutcome:
         """Handle an arriving copy (transfer already completed)."""
@@ -284,7 +292,8 @@ class Router:
         """Start a transfer if the interface is idle and something is eligible."""
         if self.transfer_manager is None:
             return
-        if self.node.sending or not self.node.neighbors:
+        node = self.node
+        if node.sending or not node.neighbors or not len(node.buffer):
             return
         choice = self.select_next()
         if choice is None:

@@ -36,6 +36,8 @@ class ProphetRouter(Router):
     """Delivery-predictability replication."""
 
     name = "prophet"
+    #: ``predictability()`` ages the table with time alone.
+    time_dependent_eligibility = True
 
     def __init__(
         self,

@@ -24,6 +24,8 @@ class SprayAndFocusRouter(Router):
     """Binary spray + utility-driven focus phase."""
 
     name = "spray-and-focus"
+    #: The focus rule compares encounter timers that grow with time alone.
+    time_dependent_eligibility = True
 
     def __init__(
         self, node: Node, policy: BufferPolicy, focus_threshold: float = 60.0

@@ -114,12 +114,13 @@ class JobStore:
     def _load(self) -> None:
         for line in read_lines(self.path):
             try:
-                self._fold(json.loads(line))
+                self._fold(json.loads(line.decode("utf-8")))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 # Torn final line from a mid-write crash, or bytes a chaos
-                # campaign truncated/garbled.  The line before it was
-                # fsynced, so skipping loses at most one transition —
-                # which replays as a requeue, never a lost job.
+                # campaign truncated/garbled (a UnicodeDecodeError is a
+                # ValueError).  The line before it was fsynced, so skipping
+                # loses at most one transition — which replays as a
+                # requeue, never a lost job.
                 self.skipped_lines += 1
 
     def _fold(self, entry: dict[str, Any]) -> None:

@@ -168,6 +168,9 @@ def restore(
         built.fault_injector.rearm_flap()
         built.fault_injector._schedule_scripted(after=t)
     _restore_transfers(built, state["transfers"])
+    # The TTL expiry index and the dirty set of senders are derived state:
+    # rebuilt from the restored buffers, with every node marked dirty.
+    built.world.reindex()
     snap_state = state.get("snapshotter")
     if getattr(built, "snapshotter", None) is not None:
         if snap_state is not None:
@@ -287,9 +290,7 @@ def _restore_nodes(built: Any, node_states: list[dict[str, Any]]) -> None:
                 f"node id mismatch: snapshot {data['id']} vs built {node.id}"
             )
         buf = node.buffer
-        buf._messages.clear()
-        buf._pins.clear()
-        buf._used = 0
+        buf.clear()
         for md in data["buffer"]:
             buf.add(_decode_message(md))
         # Pins and the sending flag are re-established when in-flight

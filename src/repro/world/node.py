@@ -15,8 +15,9 @@ from repro.net.buffer import MessageBuffer
 from repro.world.radio import Radio
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.net.message import Message
     from repro.routing.base import Router
-    from repro.world.world import World
+    from repro.world.activity import ActivityWorld
 
 
 class Node:
@@ -25,28 +26,40 @@ class Node:
     def __init__(self, node_id: int, radio: Radio, buffer_capacity: int) -> None:
         self.id = int(node_id)
         self.radio = radio
-        self.buffer = MessageBuffer(buffer_capacity)
+        self.buffer = MessageBuffer(buffer_capacity, owner=self)
         self.router: "Router | None" = None
         #: Currently connected peers, keyed by node id.
         self.neighbors: dict[int, "Node"] = {}
         #: True while this node's interface is busy sending one message.
         self.sending = False
-        self._world: "World | None" = None
+        self._world: "ActivityWorld | None" = None
 
     def attach_router(self, router: "Router") -> None:
         """Wire the routing protocol driving this node."""
         self.router = router
 
-    def attach_world(self, world: "World") -> None:
+    def attach_world(self, world: "ActivityWorld") -> None:
         """Called by the world when the node is registered."""
         self._world = world
+
+    def touch(self) -> None:
+        """Report that this node's or its neighbours' send eligibility may
+        have changed (see :meth:`ActivityWorld.touch
+        <repro.world.activity.ActivityWorld.touch>`)."""
+        if self._world is not None:
+            self._world.touch(self)
+
+    def buffer_added(self, message: "Message") -> None:
+        """Report a copy that just entered this node's buffer."""
+        if self._world is not None:
+            self._world.buffer_added(self, message)
 
     @property
     def position(self) -> np.ndarray:
         """Current (x, y) in meters; requires world registration."""
         if self._world is None:
             raise RuntimeError(f"node {self.id} is not attached to a world")
-        return self._world.positions[self.id]
+        return self._world.positions[self.id]  # type: ignore[attr-defined]
 
     def is_connected_to(self, other: "Node") -> bool:
         """True while a live link to *other* exists."""

@@ -20,14 +20,20 @@ from repro.engine.events import PRIORITY_WORLD
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.net.transfer import TransferManager
+from repro.world.activity import ActivityWorld
 from repro.world.node import Node
 
 if TYPE_CHECKING:  # pragma: no cover - breaks the traces<->world import cycle
     from repro.traces.contact_trace import ContactTrace
 
 
-class TraceWorld:
-    """Link lifecycle driven by a contact trace instead of movement."""
+class TraceWorld(ActivityWorld):
+    """Link lifecycle driven by a contact trace instead of movement.
+
+    Trace ``up`` events touching a down node (fault injection) are
+    discarded; after a rejoin, connectivity resumes at the next recorded
+    contact.
+    """
 
     def __init__(
         self,
@@ -37,25 +43,13 @@ class TraceWorld:
         trace: ContactTrace,
         tick: float = 1.0,
     ) -> None:
-        if sorted(n.id for n in nodes) != list(range(len(nodes))):
-            raise ConfigurationError("node ids must be 0..N-1 (dense)")
-        if tick <= 0:
-            raise ConfigurationError(f"tick must be positive: {tick}")
         max_id = max((max(e.a, e.b) for e in trace.events), default=-1)
         if max_id >= len(nodes):
             raise ConfigurationError(
                 f"trace references node {max_id}, only {len(nodes)} nodes"
             )
-        self.sim = sim
-        self.nodes = sorted(nodes, key=lambda n: n.id)
-        self.transfer_manager = transfer_manager
+        super().__init__(sim, nodes, transfer_manager, tick)
         self.trace = trace
-        self.tick = float(tick)
-        self.links: set[tuple[int, int]] = set()
-        #: Nodes currently offline (fault injection).  Trace ``up`` events
-        #: touching a down node are discarded; after a rejoin, connectivity
-        #: resumes at the next recorded contact.
-        self.down_nodes: set[int] = set()
 
     def start(self) -> None:
         """Schedule every trace event plus the recurring maintenance tick."""
@@ -70,12 +64,13 @@ class TraceWorld:
                 event.up,
                 priority=PRIORITY_WORLD,
             )
+        self.reindex()
+        # The tick half of World.update: TTL purge and idle-sender retry.
         self.sim.schedule_every(self.tick, self._maintain, priority=PRIORITY_WORLD)
 
     # -- event application ---------------------------------------------------
 
     def _apply(self, a_id: int, b_id: int, up: bool) -> None:
-        a, b = self.nodes[a_id], self.nodes[b_id]
         key = (min(a_id, b_id), max(a_id, b_id))
         if up:
             if key in self.links:
@@ -83,62 +78,6 @@ class TraceWorld:
             if a_id in self.down_nodes or b_id in self.down_nodes:
                 return  # faulted node: the recorded contact never happens
             self.links.add(key)
-            a.neighbors[b.id] = b
-            b.neighbors[a.id] = a
-            self.sim.listeners.emit("link.up", a, b)
-            if a.router is not None:
-                a.router.on_link_up(b)
-            if b.router is not None:
-                b.router.on_link_up(a)
-        else:
-            if key not in self.links:
-                return
-            self._drop_link(a, b)
-
-    def _drop_link(self, a: Node, b: Node) -> None:
-        self.links.discard((min(a.id, b.id), max(a.id, b.id)))
-        a.neighbors.pop(b.id, None)
-        b.neighbors.pop(a.id, None)
-        self.transfer_manager.abort_for_link(a, b)
-        self.sim.listeners.emit("link.down", a, b)
-        if a.router is not None:
-            a.router.on_link_down(b)
-        if b.router is not None:
-            b.router.on_link_down(a)
-
-    # -- fault hooks ---------------------------------------------------------
-
-    def set_node_down(self, node_id: int) -> None:
-        """Take a node offline: tear down its links and discard its trace
-        contacts until :meth:`set_node_up`."""
-        if node_id in self.down_nodes:
-            return
-        self.down_nodes.add(node_id)
-        # Sorted so teardown order is a function of the pair ids alone,
-        # never of set memory layout (matches World.set_node_down).
-        for i, j in sorted(pair for pair in self.links if node_id in pair):
-            self._drop_link(self.nodes[i], self.nodes[j])
-
-    def set_node_up(self, node_id: int) -> None:
-        """Bring a node back online (connectivity resumes at the next
-        recorded contact)."""
-        self.down_nodes.discard(node_id)
-
-    def force_link_down(self, i: int, j: int) -> bool:
-        """Drop the (i, j) link now.  Returns True if the link existed.
-        It re-forms only at the trace's next ``up`` event for the pair."""
-        key = (min(i, j), max(i, j))
-        if key not in self.links:
-            return False
-        self._drop_link(self.nodes[key[0]], self.nodes[key[1]])
-        return True
-
-    def _maintain(self) -> None:
-        """TTL purge + idle-sender retry (the tick half of World.update)."""
-        for node in self.nodes:
-            if node.router is not None:
-                node.router.purge_expired()
-        self.sim.listeners.emit("world.updated", self.sim.now)
-        for node in self.nodes:
-            if node.router is not None and not node.sending and node.neighbors:
-                node.router.try_send()
+            self._link_up(self.nodes[a_id], self.nodes[b_id])
+        elif key in self.links:
+            self._drop_link(a_id, b_id)

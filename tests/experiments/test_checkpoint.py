@@ -93,6 +93,15 @@ class TestPersistence:
         assert ckpt.completed("k1") is not None
         assert ckpt.completed("k2") is None
 
+    def test_undecodable_line_is_ignored(self, tmp_path):
+        path = tmp_path / "ckpt.jsonl"
+        SweepCheckpoint(path).record("k1", FailedRun("s", "fifo", 1, "E", "x"))
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe garbled\n")
+        ckpt = SweepCheckpoint(path)
+        assert len(ckpt) == 1
+        assert ckpt.failed("k1") is not None
+
     def test_torn_line_with_valid_json_but_bad_shape_is_ignored(self, tmp_path):
         # A crash can also tear a line into a *shorter valid JSON document*
         # (e.g. the data object closed early); from_record then raises

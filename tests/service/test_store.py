@@ -111,6 +111,16 @@ class TestReplay:
         assert reloaded.get("j2") is None
         assert reloaded.get("j1").state == QUEUED
 
+    def test_undecodable_line_is_skipped_and_counted(self, tmp_path):
+        s = store(tmp_path)
+        s.record_queued("j1", "fp1")
+        with open(s.path, "ab") as fh:
+            fh.write(b"\xff\xfe garbled\n")
+        s.record_running("j1", attempts=1)
+        reloaded = JobStore(s.path)
+        assert reloaded.skipped_lines == 1
+        assert reloaded.get("j1").state == RUNNING
+
     def test_append_repairs_a_torn_tail(self, tmp_path):
         s = store(tmp_path)
         s.record_queued("j1", "fp1")

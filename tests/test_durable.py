@@ -26,5 +26,5 @@ def test_every_appended_line_is_fsynced(tmp_path, monkeypatch):
 def test_read_lines_strips_and_skips_blank_lines(tmp_path):
     path = tmp_path / "log.jsonl"
     path.write_text("  a \n\n\nb\n   \n", encoding="utf-8")
-    assert list(read_lines(path)) == ["a", "b"]
+    assert list(read_lines(path)) == [b"a", b"b"]
     assert list(read_lines(tmp_path / "missing.jsonl")) == []

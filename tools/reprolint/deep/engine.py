@@ -335,7 +335,14 @@ class RngEnv:
                     for target in targets:
                         chain = attr_chain(target)
                         if chain == ["self", attr]:
-                            env = method_env(self.project, method)
+                            # A method that reads back an attribute it also
+                            # binds is classified in the environment being
+                            # built, not a fresh (endlessly recursing) one.
+                            env = (
+                                self
+                                if method is self.fn
+                                else method_env(self.project, method)
+                            )
                             kind = env.classify_value(value)
                             if kind in {STREAM, PARAM}:
                                 verdict = kind

@@ -700,6 +700,10 @@ REBUILT_ON_RESTORE: dict[tuple[str, str], str] = {
     ("MessageFateReport", "fates"): "opt-in post-run report, never part of a snapshot-capable run",
     ("Node", "_world"): "re-bound via attach_world when the world is rebuilt",
     ("PeriodicSnapshotter", "latest"): "holds the snapshot payload itself; only _next_at is state",
+    ("ActivityWorld", "_expiry"): "reindex() re-pushes every restored buffered copy's expiry",
+    ("ActivityWorld", "_carry"): "restored expired pinned copies are due in the rebuilt index",
+    ("ActivityWorld", "_dirty"): "reindex() marks every node dirty; an extra scan finds nothing",
+    ("ActivityWorld", "_always_scan"): "reindex() re-reads each router's class attribute",
 }
 
 
